@@ -1,11 +1,12 @@
 """Allocator and rebalance microbenchmarks for the contention engine.
 
-Times the three layers the vectorized engine is built from, bottom up:
+Times the layers the virtual-time engine is built from, bottom up:
 
-* the water-filling kernels (reference fixpoint vs vectorized sort+cumsum),
-* one ``allocate_batch`` call on a 64-stream statics array — memo hit and
-  memo miss separately (the miss path is what dominates desynchronized
-  workloads, where the phase composition drifts continuously),
+* the scalar water filling, per task and over weighted demand groups,
+* one ``allocate_batch`` call on the composition of a 64-stream active set
+  (four profiles, one task per core) — memo hit and memo miss separately
+  (the miss path is what dominates desynchronized workloads, where the
+  phase composition drifts continuously),
 * one full reference run, reporting the engine counters that the run
   manifest exports under ``engine.cpu``.
 
@@ -14,14 +15,8 @@ Absolute numbers are tracked by the committed ratchet baseline
 assert structural facts that hold at any machine speed.
 """
 
-import numpy as np
-
 from repro.core.driver import RunConfig, run_fft_phase
-from repro.machine.contention import (
-    BandwidthContentionAllocator,
-    waterfill,
-    waterfill_vec,
-)
+from repro.machine.contention import BandwidthContentionAllocator, waterfill
 from repro.machine.phases import PhaseProfile
 from repro.machine.topology import HwThread
 from repro.simkit.fluid import FluidTask
@@ -35,10 +30,11 @@ _PROFILES = [
 ]
 
 
-def _statics_array(alloc, n_streams=64, n_profiles=4):
-    """Prepare one 64-stream active set (one task per core, as in 8x8)."""
+def _composition(alloc, n_streams=64, n_profiles=4):
+    """Attach one 64-stream active set (one task per core, as in 8x8) and
+    return its composition: active tasks per group key."""
     sim = Simulator()
-    statics = []
+    composition = {}
     for k in range(n_streams):
         task = FluidTask(
             sim,
@@ -49,10 +45,9 @@ def _statics_array(alloc, n_streams=64, n_profiles=4):
                 "speed": 1.0 + 0.01 * (k % 7),
             },
         )
-        static = alloc.prepare(task)
-        alloc.notify_attach(static)
-        statics.append(static)
-    return np.asarray(statics, dtype=float)
+        key, _speed, _moves = alloc.attach(task)
+        composition[key] = composition.get(key, 0) + 1
+    return composition
 
 
 def test_bench_waterfill_reference(benchmark):
@@ -61,20 +56,21 @@ def test_bench_waterfill_reference(benchmark):
     assert sum(grants) <= 30e9 * (1 + 1e-9)
 
 
-def test_bench_waterfill_vectorized(benchmark):
-    demands = np.array([1e9 + 1e7 * k for k in range(64)])
-    grants = benchmark(waterfill_vec, demands, 30e9)
-    assert float(grants.sum()) <= 30e9 * (1 + 1e-9)
+def test_bench_waterfill_groups(benchmark):
+    demands = [1e9 + 1e8 * k for k in range(8)]
+    weights = [8] * 8
+    grants = benchmark(waterfill, demands, 30e9, weights)
+    assert sum(g * w for g, w in zip(grants, weights)) <= 30e9 * (1 + 1e-9)
 
 
 def test_bench_allocate_batch_memo_hit(benchmark):
     alloc = BandwidthContentionAllocator(
         frequency_hz=1.4e9, bandwidth_bytes_per_s=90e9
     )
-    arr = _statics_array(alloc)
-    alloc.allocate_batch(arr)  # prime the composition memo
-    rates = benchmark(alloc.allocate_batch, arr)
-    assert rates.shape == (64,)
+    composition = _composition(alloc)
+    alloc.allocate_batch(composition)  # prime the composition memo
+    rates = benchmark(alloc.allocate_batch, composition)
+    assert len(rates) == 4
     info = alloc.cache_info()
     assert info["alloc_cache_misses"] == 1
     assert info["alloc_cache_hits"] >= 1
@@ -84,15 +80,14 @@ def test_bench_allocate_batch_memo_miss(benchmark):
     alloc = BandwidthContentionAllocator(
         frequency_hz=1.4e9, bandwidth_bytes_per_s=90e9
     )
-    arr = _statics_array(alloc)
+    composition = _composition(alloc)
 
     def miss():
-        alloc._dense_cache.clear()
         alloc._cache.clear()
-        return alloc.allocate_batch(arr)
+        return alloc.allocate_batch(composition)
 
     rates = benchmark(miss)
-    assert rates.shape == (64,)
+    assert len(rates) == 4
     assert alloc.cache_info()["alloc_cache_hits"] == 0
 
 

@@ -26,183 +26,100 @@ thread is throttled to ``B / n / bpi``.  When the OmpSs scheduler
 de-synchronises phases, low-demand phases leave bandwidth to high-demand
 ones, raising their effective IPC — the mechanism behind Fig. 7.
 
-Hot-path engine
----------------
-The allocator implements the fluid engine's batch protocol (``prepare`` /
-``allocate_batch``).  ``prepare`` interns each task's contention-relevant
-statics — ``(ipc0, bytes_per_instr, core, node)`` — into a small integer
-*signature id* once, at submit time.  ``allocate_batch`` then works purely on
-the active set's signature-id array:
+Per-group pricing
+-----------------
+A task's rate depends only on its phase profile, the number of active
+hyper-threads *on its own core*, its node, and the demand multiset of its
+node — not on which core it runs.  So the allocator groups tasks by the
+packed code ``(profile, core occupancy, node)`` for the virtual-time fluid
+engine, with the per-execution ``speed`` factor (jitter, faults) as the
+task's multiplier.  ``attach``/``detach`` keep the per-core membership and
+re-key only the siblings of a core whose occupancy changed.
 
-* the base rates (everything except the per-execution ``speed`` factor, a
-  pure post-multiplier) depend only on the *composition* of the active set.
-  Core identity is irrelevant — a task's rate is determined by its phase
-  profile, the number of active hyper-threads *on its own core*, its node,
-  and the demand multiset of everyone else — so the memo key is the sorted
-  array of packed ``(profile, core-occupancy, node)`` codes.  That is what
-  makes the steady-state 64-thread phase mix recur thousands of times per
-  run even as tasks hop between cores;
-* a cache miss computes the rates per *unique* code with the numpy
-  sort+cumsum water filling of :func:`waterfill_vec` (tasks sharing a code
-  provably receive equal grants under max-min fairness, so the per-code
-  result scatters back to tasks by one ``searchsorted``).
-
-Cache hits/misses are exported via :meth:`cache_info` into run manifests.
+``allocate_batch`` prices a *composition* — task count per code — and is
+memoized on it: the steady-state 64-thread phase mixes recur thousands of
+times per run even as tasks hop between cores.  A miss runs one scalar
+:func:`waterfill` per node over the groups in code order, whatever the
+group count.  Cache hits/misses are exported via :meth:`cache_info` into
+run manifests.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-import numpy as np
-
 from repro.machine.phases import PhaseProfile
 from repro.machine.topology import HwThread
-from repro.simkit.fluid import FluidTask
+from repro.simkit.fluid import FluidTask, Moves
 
-__all__ = ["BandwidthContentionAllocator", "waterfill", "waterfill_vec"]
+__all__ = ["BandwidthContentionAllocator", "composition_key", "waterfill"]
 
 #: Numerical slack for the water-filling fixpoint.
 _EPS = 1e-12
 
 #: Compositions memoized per allocator before the table is reset (a plain
-#: clear — entries are two tiny arrays, so the bound is generous; an LRU
-#: would add ordering cost for no hit-rate gain).
+#: clear — entries are small dicts, so the bound is generous; an LRU would
+#: add ordering cost for no hit-rate gain).
 _CACHE_LIMIT = 16384
 
 
-def waterfill(demands: _t.Sequence[float], capacity: float) -> list[float]:
+def composition_key(keys: list[int], composition: _t.Mapping[int, int]) -> tuple[int, ...]:
+    """Memo key of a composition: its sorted group keys, then their counts.
+
+    A flat tuple of ints holds no containers, so the garbage collector stops
+    tracking it (as it never tracks the ``{code: rate}`` memo values): a
+    memo of thousands of compositions adds nothing to full collections.
+    """
+    return (*keys, *map(composition.__getitem__, keys))
+
+
+def waterfill(
+    demands: _t.Sequence[float],
+    capacity: float,
+    weights: _t.Sequence[int] | None = None,
+) -> list[float]:
     """Max-min fair allocation of ``capacity`` over ``demands``.
 
-    Tasks demanding no more than the current fair share receive their full
-    demand; the freed capacity is redistributed among the remaining tasks
-    until all are either satisfied or capped at the final fair share.
+    With ``weights`` each demand stands for ``weights[j]`` identical tasks
+    (a group); the result is still the grant *per task* of each group.  The
+    water level ``L`` solves ``sum_j w_j * min(d_j, L) == capacity`` when the
+    total demand exceeds the capacity, and every task is granted
+    ``min(d_j, L)``: tasks demanding less than the fair share are fully
+    served and their slack is shared by the rest.
 
-    Returns one grant per demand, with ``sum(grants) <= capacity`` and
-    ``grants[i] <= demands[i]``.
+    The level comes from one pass over the demands in ascending order with
+    running prefix sums — O(m log m) plain float operations, which beats
+    numpy's per-call overhead at the group counts of the model.
     """
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
-    n = len(demands)
-    grants = [0.0] * n
-    if n == 0:
-        return grants
-    remaining = capacity
-    unsat = [i for i in range(n) if demands[i] > 0.0]
-    while unsat:
-        fair = remaining / len(unsat)
-        threshold = fair + _EPS
-        # One pass: grant the satisfied demands (in index order, so the
-        # floating-point subtraction sequence is unchanged) and collect the
-        # still-unsatisfied rest — the old three-scan version with its
-        # per-round set() rebuild dominated allocator time at 64+ streams.
-        still_unsat: list[int] = []
-        for i in unsat:
-            d = demands[i]
-            if d <= threshold:
-                grants[i] = d
-                remaining -= d
-            else:
-                still_unsat.append(i)
-        if len(still_unsat) == len(unsat):
-            for i in unsat:
-                grants[i] = fair
-            return grants
-        unsat = still_unsat
-        if remaining <= 0.0:
-            break
-    return grants
-
-
-def waterfill_vec(
-    demands: np.ndarray, capacity: float, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Vectorized max-min fair allocation (sort + cumsum water level).
-
-    Equivalent to :func:`waterfill` up to floating-point rounding, computed
-    in O(m log m) numpy operations instead of a Python fixpoint loop.  With
-    ``weights`` each demand entry stands for ``weights[i]`` identical tasks
-    (the allocator's per-signature grouping); the returned grants are still
-    *per task* of each group.
-
-    The water level ``L`` is the unique solution of
-    ``sum_i w_i * min(d_i, L) == capacity`` when total demand exceeds the
-    capacity; every task is granted ``min(d_i, L)``.
-    """
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
-    d = np.asarray(demands, dtype=float)
-    m = d.size
-    if m == 0:
-        return np.empty(0)
-    w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
-    total = float((w * d).sum())
-    if total <= capacity * (1.0 + _EPS):
-        return d.copy()
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    ws = w[order]
-    cum_w = np.cumsum(ws)
-    cum_wd = np.cumsum(ws * ds)
-    # Candidate level when the j smallest demand groups are fully satisfied:
-    #   capacity = cum_wd[j-1] + L * (W - cum_w[j-1])
-    # The correct segment is the first j whose candidate stays below ds[j].
-    prev_w = np.concatenate(([0.0], cum_w[:-1]))
-    prev_wd = np.concatenate(([0.0], cum_wd[:-1]))
-    denom = cum_w[-1] - prev_w
-    levels = (capacity - prev_wd) / denom
-    feasible = levels <= ds * (1.0 + _EPS)
-    j = int(np.argmax(feasible)) if feasible.any() else m - 1
-    level = max(float(levels[j]), 0.0)
-    return np.minimum(d, level)
-
-
-#: Compositions with at most this many unique signatures take the scalar
-#: fast path of the allocator miss pipeline.  7 is also the bit-exactness
-#: boundary: numpy reduces sums of fewer than 8 float64 elements strictly
-#: sequentially, so the scalar transcription matches :func:`waterfill_vec`
-#: to the last ulp.
-_SCALAR_MAX_GROUPS = 7
-
-
-def _waterfill_scalar(
-    demands: list[float], capacity: float, weights: list[int]
-) -> list[float]:
-    """Scalar transcription of :func:`waterfill_vec` for tiny inputs.
-
-    Bit-identical to the vectorized version for fewer than 8 demand groups
-    (see :data:`_SCALAR_MAX_GROUPS`); every sum runs in the same sequential
-    order and the sort is stable, mirroring ``argsort(kind="stable")``.
-    """
     m = len(demands)
+    if weights is None:
+        weights = [1] * m
     total = 0.0
     for j in range(m):
         total += weights[j] * demands[j]
     if total <= capacity * (1.0 + _EPS):
         return list(demands)
     order = sorted(range(m), key=demands.__getitem__)
-    cum_w = [0.0] * m
-    cum_wd = [0.0] * m
-    acc_w = 0.0
-    acc_wd = 0.0
-    for k, j in enumerate(order):
-        acc_w += weights[j]
-        acc_wd += weights[j] * demands[j]
-        cum_w[k] = acc_w
-        cum_wd[k] = acc_wd
-    w_total = cum_w[-1]
+    w_total = 0.0
+    for j in order:
+        w_total += weights[j]
+    # Candidate level when the k smallest demands are fully satisfied:
+    #   capacity = prev_wd + L * (w_total - prev_w)
+    # The right segment is the first whose candidate stays below its demand.
     prev_w = 0.0
     prev_wd = 0.0
     level = 0.0
-    for k, j in enumerate(order):
+    for j in order:
         level = (capacity - prev_wd) / (w_total - prev_w)
         if level <= demands[j] * (1.0 + _EPS):
             break
-        prev_w = cum_w[k]
-        prev_wd = cum_wd[k]
+        prev_w += weights[j]
+        prev_wd += weights[j] * demands[j]
     if level < 0.0:
         level = 0.0
-    return [min(dj, level) for dj in demands]
+    return [d if d < level else level for d in demands]
 
 
 class BandwidthContentionAllocator:
@@ -248,42 +165,16 @@ class BandwidthContentionAllocator:
         #: 2x8 and 4x8 (Table I).  ``rampup_max=None`` disables the ramp.
         self.bandwidth_rampup_max = bandwidth_rampup_max
         self.bandwidth_rampup_half = bandwidth_rampup_half
-        # Profile interning: (ipc0, bytes_per_instr) -> small id, with the
-        # numeric fields mirrored in arrays (vectorized decode) and plain
-        # lists (scalar decode on the small-composition fast path).
+        # Profile interning: (ipc0, bytes_per_instr) -> small id.
         self._profile_ids: dict[tuple[float, float], int] = {}
-        self._profile_ipc0 = np.empty(0)
-        self._profile_bpi = np.empty(0)
-        self._profile_ipc0_l: list[float] = []
-        self._profile_bpi_l: list[float] = []
-        # Core interning: (node, core) -> dense id.
-        self._core_ids: dict[tuple[int, int], int] = {}
-        # Dense interning of *single-occupancy* packed codes: code -> small
-        # contiguous id, with the decoded physics (issue ceiling, bandwidth
-        # demand, traffic intensity, node) mirrored per id.  On the
-        # no-hyper-threading fast path a composition is then just the count
-        # vector over dense ids — one bincount — and a cache miss prices the
-        # present groups without re-decoding any code.
-        self._dense_ids: dict[int, int] = {}
-        self._dense_code_l: list[int] = []
-        self._dense_ceiling_l: list[float] = []
-        self._dense_demand_l: list[float] = []
-        self._dense_bpi_l: list[float] = []
-        self._dense_node_l: list[int] = []
-        # Count-vector memo of the dense fast path: counts bytes -> base
-        # rate per dense id.  Kept separate from the sorted-code memo (the
-        # entry formats differ); both report into the same hit/miss counters.
-        self._dense_cache: dict[bytes, np.ndarray] = {}
-        # Incremental core occupancy, fed by the fluid engine's attach/detach
-        # notifications: active-task count per core id, plus the number of
-        # cores currently running more than one hyper-thread.  While that
-        # number is zero every occupancy is 1 and the rebalance hot path can
-        # skip the per-batch bincount entirely.
-        self._core_occ: dict[int, int] = {}
-        self._multi_cores = 0
-        # Composition memo: sorted packed-code bytes ->
-        # (unique codes, base rate per code) — excludes the speed factor.
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._profiles: list[tuple[float, float]] = []
+        # Per-task physics of every code seen: see :meth:`_decode`.
+        self._physics: dict[int, tuple[float, float, float]] = {}
+        # Active tasks per (node, core), each with its profile id.
+        self._cores: dict[tuple[int, int], list[tuple[FluidTask, int]]] = {}
+        # Composition memo: composition key -> base rate per code (excludes
+        # the speed multiplier).
+        self._cache: dict[tuple[int, ...], dict[int, float]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
@@ -300,26 +191,17 @@ class BandwidthContentionAllocator:
         return {
             "alloc_cache_hits": self.cache_hits,
             "alloc_cache_misses": self.cache_misses,
-            "alloc_cache_size": len(self._cache) + len(self._dense_cache),
+            "alloc_cache_size": len(self._cache),
             "alloc_cache_evictions": self.cache_evictions,
         }
 
-    # -- batch protocol (the fluid engine's hot path) -------------------------
+    # -- group protocol (the fluid engine's hot path) -------------------------
 
-    #: Static record layout:
-    #: ``(packed code, core id, speed, dense code id)``.
-    #: The first field is ``(profile id << 24) | (1 << 12) | node`` — the
-    #: occupancy slot (bits 12..23) is pre-filled with the single-occupancy
-    #: value; rebalances that do see shared cores add the occupancy *excess*
-    #: per task and fall back to the sorted-code memo.  The fourth field is
-    #: the dense intern of the packed code, which the no-hyper-threading
-    #: fast path bincounts straight into its composition key.  The fluid
-    #: resource stores records as rows of one float array and hands
-    #: :meth:`allocate_batch` an ``(n, 4)`` view — no per-task iteration.
-    static_width = 4
+    # Group key: the packed code ``(profile id << 24) | (occupancy << 12) |
+    # node`` — ascending codes order groups by (profile, occupancy, node).
 
-    def prepare(self, task: FluidTask) -> tuple[int, int, float, int]:
-        """Intern a task's static contention signature (once, at submit)."""
+    def attach(self, task: FluidTask) -> tuple[int, float, Moves]:
+        """Group a task entering the active set; re-key its core siblings."""
         meta = task.meta
         try:
             profile: PhaseProfile = meta["profile"]
@@ -331,322 +213,95 @@ class BandwidthContentionAllocator:
         pkey = (profile.ipc0, profile.bytes_per_instr)
         pid = self._profile_ids.get(pkey)
         if pid is None:
-            pid = len(self._profile_ids)
-            self._profile_ids[pkey] = pid
-            self._profile_ipc0 = np.append(self._profile_ipc0, profile.ipc0)
-            self._profile_bpi = np.append(self._profile_bpi, profile.bytes_per_instr)
-            self._profile_ipc0_l.append(profile.ipc0)
-            self._profile_bpi_l.append(profile.bytes_per_instr)
-        core_key = (thread.node, thread.core)
-        core_id = self._core_ids.get(core_key)
-        if core_id is None:
-            core_id = len(self._core_ids)
-            self._core_ids[core_key] = core_id
-        code = (pid << 24) | (1 << 12) | thread.node
-        did = self._dense_ids.get(code)
-        if did is None:
-            did = len(self._dense_ids)
-            self._dense_ids[code] = did
-            self._dense_code_l.append(code)
-            # Single-occupancy physics (occupancy 1 divides out exactly, so
-            # these match the generic decode bit for bit).
-            ceiling = profile.ipc0 * self.frequency_hz
-            self._dense_ceiling_l.append(ceiling)
-            self._dense_demand_l.append(ceiling * profile.bytes_per_instr)
-            self._dense_bpi_l.append(profile.bytes_per_instr)
-            self._dense_node_l.append(thread.node)
-        return (code, core_id, meta.get("speed", 1.0), did)
+            pid = self._profile_ids[pkey] = len(self._profiles)
+            self._profiles.append(pkey)
+        node = thread.node
+        core = (node, thread.core)
+        members = self._cores.get(core)
+        if members is None:
+            members = self._cores[core] = []
+        members.append((task, pid))
+        occ = len(members) << 12
+        key = (pid << 24) | occ | node
+        if len(members) == 1:
+            return key, meta.get("speed", 1.0), ()
+        moves = [(t, (p << 24) | occ | node) for t, p in members[:-1]]
+        return key, meta.get("speed", 1.0), moves
 
-    def notify_attach(self, static: "np.ndarray | tuple") -> None:
-        """Track a task entering the active set (fluid-engine hook)."""
-        core = int(static[1])
-        occ = self._core_occ
-        c = occ.get(core, 0) + 1
-        occ[core] = c
-        if c == 2:
-            self._multi_cores += 1
+    def detach(self, task: FluidTask) -> Moves:
+        """Drop a task leaving the active set; re-key its core siblings."""
+        thread: HwThread = task.meta["thread"]
+        node = thread.node
+        core = (node, thread.core)
+        members = self._cores[core]
+        if len(members) == 1:
+            del self._cores[core]
+            return ()
+        for i, (t, _pid) in enumerate(members):
+            if t is task:
+                del members[i]
+                break
+        occ = len(members) << 12
+        return [(t, (p << 24) | occ | node) for t, p in members]
 
-    def notify_detach(self, static: "np.ndarray | tuple") -> None:
-        """Track a task leaving the active set (fluid-engine hook)."""
-        core = int(static[1])
-        occ = self._core_occ
-        c = occ[core] - 1
-        if c:
-            occ[core] = c
-            if c == 1:
-                self._multi_cores -= 1
-        else:
-            del occ[core]
+    def allocate_batch(self, composition: _t.Mapping[int, int]) -> dict[int, float]:
+        """Base instruction rate per code for one composition.
 
-    def allocate_batch(self, statics: "np.ndarray | _t.Sequence") -> np.ndarray:
-        """Instruction rates for the active set's static records (in order).
-
-        ``statics`` is the resource's ``(n, 3)`` record array (or any
-        sequence of ``prepare`` tuples — the scalar path delegates here).
-        Callers other than the fluid engine must route attach/detach
-        notifications (or use :meth:`allocate`, which does): the occupancy
-        fast path below trusts the incremental per-core counts.
+        ``composition`` maps each packed code to its number of active tasks
+        (the fluid engine keeps it current through :meth:`attach` /
+        :meth:`detach`).  A task's rate is its code's base times its speed.
         """
-        n = len(statics)
-        if n == 0:
-            return np.empty(0)
-        if type(statics) is np.ndarray:
-            arr = statics
-        else:
-            arr = np.asarray(statics, dtype=float)
-        # Packed per-task code: everything the base rate depends on.  The
-        # multiset of codes fully determines the allocation, so the sorted
-        # code array is the memo key — and codes of tasks on *different but
-        # equally occupied* cores collide by construction, which is exactly
-        # the invariance that makes steady-state compositions recur.
-        if self._multi_cores:
-            ints = arr[:, :2].astype(np.int64)
-            core = ints[:, 1]
-            occupancy = np.bincount(core)[core]  # active HTs on own core
-            codes = ints[:, 0] + ((occupancy - 1) << 12)
-            sorted_codes = np.sort(codes)
-            key = sorted_codes.tobytes()
-            entry = self._cache.get(key)
-            if entry is None:
-                self.cache_misses += 1
-                if len(self._cache) >= _CACHE_LIMIT:
-                    self._cache.clear()
-                    self.cache_evictions += 1
-                entry = self._base_rates(sorted_codes)
-                self._cache[key] = entry
-            else:
-                self.cache_hits += 1
-            uniq, base = entry
-            # Per-execution speed factor (models run-to-run microarchitectural
-            # variability — cache state, TLB, OS noise; see CpuModel.jitter).
-            return base[np.searchsorted(uniq, codes)] * arr[:, 2]
-        # No core runs more than one active task (tracked incrementally by
-        # the attach/detach hooks): every occupancy is 1, already baked into
-        # the static codes, and the composition is just the count vector
-        # over dense code ids — no sort, and rate lookup is direct indexing.
-        dense = arr[:, 3].astype(np.intp)
-        counts = np.bincount(dense, minlength=len(self._dense_code_l))
-        key = counts.tobytes()
-        cache = self._dense_cache
-        base = cache.get(key)
-        if base is None:
+        codes = sorted(composition)
+        key = composition_key(codes, composition)
+        rates = self._cache.get(key)
+        if rates is None:
             self.cache_misses += 1
-            if len(cache) >= _CACHE_LIMIT:
-                cache.clear()
+            if len(self._cache) >= _CACHE_LIMIT:
+                self._cache.clear()
                 self.cache_evictions += 1
-            base = self._base_rates_dense(counts)
-            cache[key] = base
+            rates = self._cache[key] = self._price(codes, composition)
         else:
             self.cache_hits += 1
-        return base[dense] * arr[:, 2]
+        return rates
 
-    def _base_rates(self, sorted_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Speed-independent rate per packed code for one composition.
+    def _price(self, codes: list[int], composition: _t.Mapping[int, int]) -> dict[int, float]:
+        """Speed-independent rate per code: issue ceilings, then one water
+        filling per node over its groups in code order.
 
-        All tasks sharing a code have identical issue ceilings and bandwidth
-        demands, so max-min fairness grants them identical rates — the
-        computation runs per *unique* code with multiplicities as
-        water-filling weights.  Returns ``(unique codes, rate per code)``.
+        Tasks sharing a code have identical ceilings and demands, so max-min
+        fairness grants them identical rates; the group size is the
+        water-filling weight.
         """
-        # Run-length encode the pre-sorted codes — group boundaries are the
-        # positions where adjacent codes differ, so unique codes and their
-        # multiplicities come out of three array ops instead of a Python pass
-        # over every task (np.unique would re-sort what is already sorted).
-        n = sorted_codes.size
-        flag = np.empty(n, dtype=bool)
-        flag[0] = True
-        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=flag[1:])
-        starts = flag.nonzero()[0]
-        uniq = sorted_codes[starts]
-        m = starts.size
-        if m <= _SCALAR_MAX_GROUPS:
-            bounds = starts.tolist()
-            bounds.append(n)
-            counts = [bounds[k + 1] - bounds[k] for k in range(m)]
-            return self._base_rates_scalar(uniq, counts)
-        counts = np.empty(m, dtype=np.int64)
-        np.subtract(starts[1:], starts[:-1], out=counts[: m - 1])
-        counts[m - 1] = n - starts[m - 1]
-        return self._base_rates_groups(uniq, counts)
-
-    def _base_rates_groups(
-        self, uniq: np.ndarray, counts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized pricing of one composition given as (codes, weights).
-
-        ``uniq`` must be sorted ascending — both callers iterate groups in
-        code order, which pins the floating-point summation sequence and
-        keeps every memo path bit-compatible.
-        """
-        pid = uniq >> 24
-        occupancy = (uniq >> 12) & 0xFFF
-        node = uniq & 0xFFF
-        ipc0 = self._profile_ipc0[pid]
-        bpi = self._profile_bpi[pid]
-
-        # Stage 1: per-core issue sharing — the occupancy is baked into the
-        # code, so the ceiling is a pure elementwise expression.
-        ceilings = ipc0 * self.frequency_hz / occupancy
-        demands = ceilings * bpi
-
-        # Stage 2: per-node bandwidth water filling against the
-        # concurrency-dependent achievable capacity of that node.
-        demanding = demands > 0.0
-        grants = np.zeros(uniq.size)
-        if (node == node[0]).all():
-            # Fast path (the paper's testbed): one contention domain.
-            n_demanding = int(counts[demanding].sum())
-            grants[:] = waterfill_vec(
-                demands, self.effective_capacity(n_demanding), counts
-            )
-        else:
-            for nd in np.unique(node):
-                sel = node == nd
-                n_demanding = int(counts[sel & demanding].sum())
-                grants[sel] = waterfill_vec(
-                    demands[sel], self.effective_capacity(n_demanding), counts[sel]
-                )
-
-        rates = np.where(
-            bpi <= 0.0,
-            ceilings,
-            np.minimum(
-                ceilings,
-                np.divide(grants, bpi, out=np.zeros_like(grants), where=bpi > 0.0),
-            ),
-        )
-        return uniq, rates
-
-    def _base_rates_dense(self, counts: np.ndarray) -> np.ndarray:
-        """Base rate per dense code id for one single-occupancy composition.
-
-        ``counts`` is the count vector over dense ids (zeros for absent
-        codes).  The physics per id was precomputed at intern time, so a
-        miss only selects the present groups — in *code order*, matching
-        the sorted-code paths' summation sequence bit for bit — and runs
-        the water filling.  Returns a rate array indexed by dense id.
-        """
-        active = counts.nonzero()[0].tolist()
-        code_l = self._dense_code_l
-        active.sort(key=code_l.__getitem__)
-        m = len(active)
-        counts_l = counts.tolist()
-        base = np.zeros(len(counts_l))
-        if m > _SCALAR_MAX_GROUPS:
-            uniq = np.array([code_l[d] for d in active], dtype=np.int64)
-            weights = np.array([counts_l[d] for d in active], dtype=np.int64)
-            _, rates = self._base_rates_groups(uniq, weights)
-            base[active] = rates
-            return base
-        ceiling_l = self._dense_ceiling_l
-        demand_l = self._dense_demand_l
-        bpi_l = self._dense_bpi_l
-        node_l = self._dense_node_l
-        demands = [demand_l[d] for d in active]
-        weights = [counts_l[d] for d in active]
-        nodes = [node_l[d] for d in active]
-        node_set = set(nodes)
-        if len(node_set) == 1:
+        physics = self._physics
+        by_node: dict[int, list[int]] = {}
+        for code in codes:
+            by_node.setdefault(code & 0xFFF, []).append(code)
+        rates: dict[int, float] = {}
+        for node in sorted(by_node):
+            codes = by_node[node]
+            demands = []
+            weights = []
             n_demanding = 0
-            for j in range(m):
-                if demands[j] > 0.0:
-                    n_demanding += weights[j]
-            grants = _waterfill_scalar(
-                demands, self.effective_capacity(n_demanding), weights
-            )
-            for j, d in enumerate(active):
-                bpi_j = bpi_l[d]
-                if bpi_j <= 0.0:
-                    base[d] = ceiling_l[d]
-                else:
-                    base[d] = min(ceiling_l[d], grants[j] / bpi_j)
-            return base
-        for nd in sorted(node_set):
-            idx = [j for j in range(m) if nodes[j] == nd]
-            n_demanding = 0
-            for j in idx:
-                if demands[j] > 0.0:
-                    n_demanding += weights[j]
-            grants = _waterfill_scalar(
-                [demands[j] for j in idx],
-                self.effective_capacity(n_demanding),
-                [weights[j] for j in idx],
-            )
-            for g, j in zip(grants, idx):
-                d = active[j]
-                bpi_j = bpi_l[d]
-                if bpi_j <= 0.0:
-                    base[d] = ceiling_l[d]
-                else:
-                    base[d] = min(ceiling_l[d], g / bpi_j)
-        return base
+            for code in codes:
+                entry = physics.get(code)
+                if entry is None:
+                    entry = physics[code] = self._decode(code)
+                count = composition[code]
+                demands.append(entry[1])
+                weights.append(count)
+                if entry[1] > 0.0:
+                    n_demanding += count
+            grants = waterfill(demands, self.effective_capacity(n_demanding), weights)
+            for code, grant in zip(codes, grants):
+                ceiling, _demand, bpi = physics[code]
+                rates[code] = ceiling if bpi <= 0.0 else min(ceiling, grant / bpi)
+        return rates
 
-    def _base_rates_scalar(
-        self, uniq_arr: np.ndarray, counts: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scalar twin of the vectorized miss path for small compositions.
-
-        With at most :data:`_SCALAR_MAX_GROUPS` unique codes, plain Python
-        floats beat numpy's per-call overhead by ~4x.  Every arithmetic step
-        mirrors the vectorized path operation-for-operation (numpy reduces
-        sums of fewer than 8 elements strictly sequentially), so both paths
-        produce bit-identical rates and the memo stays path-independent.
-        """
-        freq = self.frequency_hz
-        ipc0_l = self._profile_ipc0_l
-        bpi_l = self._profile_bpi_l
-        uniq = uniq_arr.tolist()
-        m = len(uniq)
-        ceilings = [0.0] * m
-        demands = [0.0] * m
-        bpis = [0.0] * m
-        nodes = [0] * m
-        for j, code in enumerate(uniq):
-            pid = code >> 24
-            occ = (code >> 12) & 0xFFF
-            nodes[j] = code & 0xFFF
-            bpi_j = bpi_l[pid]
-            ceil_j = ipc0_l[pid] * freq / occ
-            ceilings[j] = ceil_j
-            demands[j] = ceil_j * bpi_j
-            bpis[j] = bpi_j
-        rates = [0.0] * m
-        node_set = set(nodes)
-        if len(node_set) == 1:
-            # Single contention domain (the paper's testbed): feed the group
-            # arrays straight through, no per-node index lists.
-            n_demanding = 0
-            for j in range(m):
-                if demands[j] > 0.0:
-                    n_demanding += counts[j]
-            grants = _waterfill_scalar(
-                demands, self.effective_capacity(n_demanding), counts
-            )
-            for j in range(m):
-                bpi_j = bpis[j]
-                if bpi_j <= 0.0:
-                    rates[j] = ceilings[j]
-                else:
-                    rates[j] = min(ceilings[j], grants[j] / bpi_j)
-            return uniq_arr, np.array(rates)
-        for nd in sorted(node_set):
-            idx = [j for j in range(m) if nodes[j] == nd]
-            n_demanding = 0
-            for j in idx:
-                if demands[j] > 0.0:
-                    n_demanding += counts[j]
-            grants = _waterfill_scalar(
-                [demands[j] for j in idx],
-                self.effective_capacity(n_demanding),
-                [counts[j] for j in idx],
-            )
-            for g, j in zip(grants, idx):
-                bpi_j = bpis[j]
-                if bpi_j <= 0.0:
-                    rates[j] = ceilings[j]
-                else:
-                    rates[j] = min(ceilings[j], g / bpi_j)
-        return uniq_arr, np.array(rates)
+    def _decode(self, code: int) -> tuple[float, float, float]:
+        """``(issue ceiling, bandwidth demand, bytes per instruction)``."""
+        ipc0, bpi = self._profiles[code >> 24]
+        ceiling = ipc0 * self.frequency_hz / ((code >> 12) & 0xFFF)
+        return ceiling, ceiling * bpi, bpi
 
     # -- sequence interface (tests, diagnostics, non-engine callers) ----------
 
@@ -656,20 +311,27 @@ class BandwidthContentionAllocator:
         Both sharing stages are per *node*: hyper-threads share their own
         core's issue slots, and the bandwidth water-filling runs over each
         node's tasks against that node's achievable capacity (nodes of a
-        cluster are independent contention domains).  Delegates to the same
-        vectorized engine the fluid resource drives through the batch
-        protocol, so direct calls and engine calls agree bit-for-bit.
+        cluster are independent contention domains).  Runs the same group
+        protocol and memo the fluid engine drives, so direct calls and
+        engine calls agree bit-for-bit.
         """
-        if not tasks:
-            return []
-        statics = [self.prepare(t) for t in tasks]
-        for s in statics:
-            self.notify_attach(s)
+        keys: dict[FluidTask, int] = {}
+        speeds = []
         try:
-            return self.allocate_batch(statics).tolist()
+            for task in tasks:
+                key, speed, moves = self.attach(task)
+                keys[task] = key
+                speeds.append(speed)
+                for sibling, new_key in moves:
+                    keys[sibling] = new_key
+            composition: dict[int, int] = {}
+            for key in keys.values():
+                composition[key] = composition.get(key, 0) + 1
+            base = self.allocate_batch(composition) if composition else {}
+            return [base[keys[t]] * s for t, s in zip(tasks, speeds)]
         finally:
-            for s in statics:
-                self.notify_detach(s)
+            for task in keys:
+                self.detach(task)
 
     def effective_ipc(self, rate_instr_per_s: float) -> float:
         """Convert an instruction rate back to IPC (for counters/tracing)."""

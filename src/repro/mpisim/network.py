@@ -25,12 +25,10 @@ from __future__ import annotations
 import math
 import typing as _t
 
-import numpy as np
-
 from repro.faults.injector import MpiLinkError, MpiTimeoutError
-from repro.machine.contention import waterfill, waterfill_vec
+from repro.machine.contention import composition_key, waterfill
 from repro.simkit.events import Event
-from repro.simkit.fluid import FluidResource, FluidTask
+from repro.simkit.fluid import FluidResource, FluidTask, Moves
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
@@ -54,19 +52,20 @@ class RankAwareAllocator:
     demands.  Transfers without a known sender (``rank=None``) are treated as
     separate one-transfer processes.
 
-    Implements the fluid engine's batch protocol: sender ranks are interned
-    to small integer ids at submit time and the rate computation is memoized
-    on the active-set composition (the same handful of concurrent-transfer
-    mixes — one rank alone, the all-ranks alltoall burst — recurs for the
-    whole run).  Anonymous transfers are the pseudo-id ``-1``: each is its
-    own single-transfer process, demanding the full injection bandwidth.
+    Implements the fluid engine's group protocol: the group of a transfer is
+    its sender rank, interned to a small integer id at submit time, and the
+    rate computation is memoized on the composition (transfers per sender —
+    the same handful of concurrent-transfer mixes, one rank alone or the
+    all-ranks alltoall burst, recurs for the whole run).  Anonymous
+    transfers share the pseudo-id ``-1``: each is its own single-transfer
+    process, demanding the full injection bandwidth.
     """
 
     def __init__(self, capacity: float, injection_bw: float):
         self.capacity = capacity
         self.injection_bw = injection_bw
         self._rank_ids: dict[object, int] = {}
-        self._cache: dict[bytes, np.ndarray] = {}
+        self._cache: dict[tuple[int, ...], dict[int, float]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -77,67 +76,37 @@ class RankAwareAllocator:
             "alloc_cache_size": len(self._cache),
         }
 
-    def prepare(self, task: FluidTask) -> int:
+    def attach(self, task: FluidTask) -> tuple[int, float, Moves]:
         rank = task.meta.get("rank")
         if rank is None:
-            return -1
+            return -1, 1.0, ()
         sid = self._rank_ids.get(rank)
         if sid is None:
-            sid = len(self._rank_ids)
-            self._rank_ids[rank] = sid
-            self._cache.clear()  # luts are sized to the known-rank space
-        return sid
+            sid = self._rank_ids[rank] = len(self._rank_ids)
+        return sid, 1.0, ()
 
-    def allocate_batch(self, statics: _t.Sequence[int]) -> np.ndarray:
-        n = len(statics)
-        if n == 0:
-            return np.empty(0)
-        sids = np.fromiter(statics, dtype=np.intp, count=n)
-        sorted_sids = np.sort(sids)
-        key = sorted_sids.tobytes()
-        lut = self._cache.get(key)
-        if lut is None:
-            self.cache_misses += 1
-            lut = self._rate_lut(sorted_sids)
-            self._cache[key] = lut
-        else:
+    def detach(self, task: FluidTask) -> Moves:
+        return ()
+
+    def allocate_batch(self, composition: _t.Mapping[int, int]) -> dict[int, float]:
+        """Rate per sender id for one concurrent-transfer composition."""
+        sids = sorted(composition)
+        key = composition_key(sids, composition)
+        rates = self._cache.get(key)
+        if rates is not None:
             self.cache_hits += 1
-        # ``lut[-1]`` (numpy wrap-around) is deliberately the anonymous-rank
-        # rate, so one fancy index serves interned and anonymous senders.
-        return lut[sids]
-
-    def _rate_lut(self, sorted_sids: np.ndarray) -> np.ndarray:
-        """Per-sender-id rate table for one concurrent-transfer composition.
-
-        Transfers of the same sender have identical injection demands and so
-        receive identical max-min grants; the water filling runs per unique
-        sender with the transfer count as weight.  The table's last slot
-        holds the anonymous-transfer rate (or 0 when none are present).
-        """
-        uniq, counts = np.unique(sorted_sids, return_counts=True)
-        # Demand per transfer: the sender's injection bandwidth split over
-        # its concurrent transfers; anonymous senders (-1) are one-transfer
-        # processes, so each demands the full injection bandwidth.
-        demands = self.injection_bw / counts
-        anon = uniq == -1
-        demands[anon] = self.injection_bw
-        grants = waterfill_vec(demands, self.capacity, counts)
-        lut = np.zeros(len(self._rank_ids) + 1)
-        lut[uniq] = grants  # uniq may include -1 -> wraps to the last slot
-        return lut
-
-    def allocate(self, tasks: _t.Sequence[FluidTask]) -> list[float]:
-        if not tasks:
-            return []
-        per_rank: dict[object, int] = {}
-        keys = []
-        for i, task in enumerate(tasks):
-            rank = task.meta.get("rank")
-            key = rank if rank is not None else ("anon", i)
-            keys.append(key)
-            per_rank[key] = per_rank.get(key, 0) + 1
-        demands = [self.injection_bw / per_rank[key] for key in keys]
-        return waterfill(demands, self.capacity)
+            return rates
+        self.cache_misses += 1
+        # Transfers of the same sender have identical injection demands and
+        # so receive identical max-min grants: the water filling runs per
+        # sender with the transfer count as weight.  Each anonymous transfer
+        # (-1) is a one-transfer process demanding the full injection rate.
+        counts = [composition[sid] for sid in sids]
+        inj = self.injection_bw
+        demands = [inj if sid == -1 else inj / n for sid, n in zip(sids, counts)]
+        rates = dict(zip(sids, waterfill(demands, self.capacity, counts)))
+        self._cache[key] = rates
+        return rates
 
 
 class NetworkModel:

@@ -17,16 +17,24 @@ behind the paper's resource-contention analysis (Tables I/II, Fig. 7).
 The engine is exact for piecewise-constant rates: between change points every
 task progresses linearly, and change points are processed in order.
 
-Engine layout (the contention hot path)
----------------------------------------
-Per-task progress state lives in struct-of-arrays form — ``remaining``,
-``rate``, ``work`` and ``active_time`` are numpy arrays indexed by position in
-the active set, maintained incrementally on submit/cancel/finish — so the
-progress integration of :meth:`FluidResource._advance`, the finished-task
-scan and the completion-ETA reduction are whole-array operations instead of
-per-task Python loops.  :class:`FluidTask` objects remain the public handles;
-their ``remaining``/``rate``/``active_time`` attributes read through to the
-arrays while the task is active and are written back on detach.
+Virtual-time engine (the contention hot path)
+---------------------------------------------
+Every allocator in the model grants rates of the form ``base(group) ×
+multiplier(task)``: the CPU groups tasks by their packed (phase profile,
+core occupancy, node) code with the jitter/fault speed as multiplier, the
+network by sender rank.  The engine keeps one *virtual clock* per group,
+``V_g += base_g · dt``, and gives each task the tag ``F_i = V_g(entry) +
+remaining_i / multiplier_i`` in a per-group heap; the task is done when
+``V_g`` reaches ``F_i``.  Integrating progress, finding the next finisher
+and settling finishers therefore cost O(groups) per change point, and
+submit/finish/cancel cost O(log tasks) — nothing walks the task list.
+
+The allocator owns the grouping (see :class:`RateAllocator`): ``attach``
+names a new task's group and multiplier and may move siblings whose group
+changed (a hyper-thread joining a core changes its siblings' occupancy);
+``allocate_batch`` prices the *composition* (task count per group) and
+returns one base rate per group.  An allocator that only offers
+``allocate(tasks)`` puts every task in a group of its own.
 
 Changes that land at the same simulation timestamp are *coalesced*: a burst
 of k submits (an OmpSs taskloop fan-out) marks the resource dirty and defers
@@ -35,19 +43,19 @@ running k full reallocations.  This is semantically free — intermediate rate
 assignments would act over zero simulated time — and is counted in
 ``n_coalesced`` for the run manifest.
 
-Allocators may additionally implement the *batch protocol* (``prepare`` +
-``allocate_batch``): the resource then collects one static record per task at
-submit time and hands the allocator the whole list per rebalance, so the
-allocator never re-walks task metadata (see
-:class:`~repro.machine.contention.BandwidthContentionAllocator`).
+Numerics: a task completes when its residual ``(F_i - V_g) · multiplier``
+is within ``max(rate · 8 ulp(now), work · 1e-12)`` — as a per-task engine
+would test it — or its tag is within ``8 ulp(V_g)`` of the clock, which is
+pure clock rounding.  A group's clock restarts at 0 whenever it empties, so
+tags stay small relative to the work they measure.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 import typing as _t
-
-import numpy as np
 
 from repro.simkit.events import Event
 
@@ -60,9 +68,16 @@ __all__ = ["FluidTask", "RateAllocator", "EqualShareAllocator", "FluidResource"]
 _REL_EPS = 1e-12
 #: Absolute floor so zero-work tasks terminate immediately.
 _ABS_EPS = 1e-15
+#: Clock-rounding slack of the completion test, in ulps.
+_ULP_SLACK = 8.0
 
-#: Initial capacity of the struct-of-arrays buffers (doubled on demand).
-_INITIAL_CAPACITY = 16
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+_ulp = math.ulp
+_submit_order = operator.attrgetter("_order")
+
+#: Group moves of one ``attach``/``detach`` call: ``(task, new group key)``.
+Moves = _t.Sequence[tuple["FluidTask", _t.Hashable]]
 
 
 class _TimerEvent:
@@ -84,6 +99,21 @@ class _TimerEvent:
 
     def _process(self) -> None:
         self._res._on_timer(self._version)
+
+
+class _Group:
+    """Tasks sharing one base rate: a virtual clock plus a heap of tags."""
+
+    __slots__ = ("base", "clock", "zero", "heap")
+
+    def __init__(self) -> None:
+        self.base = 0.0
+        #: Work per unit multiplier done since the group was created.
+        self.clock = 0.0
+        #: Simulated time the group spent at base rate 0.
+        self.zero = 0.0
+        #: ``(tag, seq, task)``; entries whose seq is stale are skipped.
+        self.heap: list[tuple[float, int, FluidTask]] = []
 
 
 class FluidTask:
@@ -109,14 +139,22 @@ class FluidTask:
 
     __slots__ = (
         "work",
-        "_remaining",
         "meta",
         "done",
-        "_rate",
-        "_active_time",
         "start_time",
         "finish_time",
         "_res",
+        "_group",
+        "_key",
+        "_mult",
+        "_tag",
+        "_seq",
+        "_thr",
+        "_zero0",
+        "_order",
+        "_remaining",
+        "_rate",
+        "_active_time",
     )
 
     def __init__(self, sim: "Simulator", work: float, meta: dict | None = None):
@@ -130,35 +168,36 @@ class FluidTask:
         self._active_time = 0.0
         self.start_time: float | None = None
         self.finish_time: float | None = None
-        #: Owning resource while active (state then lives in its arrays).
+        #: Owning resource and group while active; the progress state then
+        #: lives in the group's clock and the task's tag.
         self._res: "FluidResource | None" = None
+        self._group: _Group | None = None
 
-    # While a task is active its progress state lives in the owning
-    # resource's arrays; the properties read through so diagnostics and
-    # observers keep working.  Detached (finished/cancelled/never-started)
-    # tasks fall back to the plain floats written back on detach.
+    # Active tasks derive their progress from the group clock (as of the
+    # resource's last change point); detached (finished/cancelled/never
+    # started) tasks return the plain floats written back on exit.
 
     @property
     def remaining(self) -> float:
-        res = self._res
-        if res is None:
+        group = self._group
+        if group is None:
             return self._remaining
-        return float(res._remaining[res._index_of(self)])
+        return (self._tag - group.clock) * self._mult
 
     @property
     def rate(self) -> float:
-        res = self._res
-        if res is None:
+        group = self._group
+        if group is None:
             return self._rate
-        return float(res._rates[res._index_of(self)])
+        return group.base * self._mult
 
     @property
     def active_time(self) -> float:
-        res = self._res
-        if res is None:
+        group = self._group
+        if group is None:
             return self._active_time
-        i = res._index_of(self)
-        return (res._last_update - self.start_time) - float(res._zero_time[i])
+        elapsed = self._res._last_update - self.start_time
+        return elapsed - (group.zero + self._zero0)
 
     @property
     def progress(self) -> float:
@@ -174,25 +213,24 @@ class FluidTask:
 class RateAllocator(_t.Protocol):
     """Strategy assigning progress rates to the active tasks of a resource.
 
-    ``allocate`` is the required interface.  Allocators may opt into the
-    vectorized batch protocol by also providing::
+    The minimal interface is ``allocate(tasks) -> rates``: one non-negative
+    rate per task, in submit order.  The resource then keeps every task in a
+    group of its own.
 
-        def prepare(self, task: FluidTask) -> object: ...
-        def allocate_batch(self, statics: list) -> numpy.ndarray: ...
+    Group allocators instead implement::
 
-    ``prepare`` is called once per task at submit time and returns an opaque
-    static record (everything the allocator needs that cannot change while
-    the task runs); ``allocate_batch`` receives the records of the current
-    active set, in order, and returns one rate per record.  The resource
-    keeps the records compacted in lockstep with the active set, so the
-    allocator never re-reads task metadata on the hot path.
+        def attach(self, task) -> tuple[Hashable, float, Moves]: ...
+        def detach(self, task) -> Moves: ...
+        def allocate_batch(self, composition: Mapping[Hashable, int])
+            -> Mapping[Hashable, float]: ...
 
-    Allocators that additionally declare ``static_width: int`` promise that
-    ``prepare`` returns a fixed-length tuple of ``static_width`` numbers; the
-    resource then stores the records as rows of one 2-D float array and
-    passes ``allocate_batch`` an ``(n, static_width)`` array view — no
-    per-rebalance Python iteration over records at all.  Without
-    ``static_width`` the records are kept in a plain list (opaque objects).
+    ``attach`` is called once per task at submit time and returns the task's
+    group key, its positive rate multiplier, and ``(sibling, new key)``
+    moves for active tasks whose group changed because of the arrival;
+    ``detach`` is called when a task leaves and returns the same kind of
+    moves.  ``allocate_batch`` receives the composition — the number of
+    active tasks per group key — and returns the base rate of every group,
+    so a task's rate is ``base[key] * multiplier``.
     """
 
     def allocate(self, tasks: _t.Sequence[FluidTask]) -> list[float]:
@@ -220,24 +258,29 @@ class EqualShareAllocator:
         self.capacity = float(capacity)
         self.per_task_cap = per_task_cap
 
-    #: Batch-protocol static record width (no per-task statics needed).
-    static_width = 0
+    def attach(self, task: FluidTask) -> tuple[None, float, Moves]:
+        return None, 1.0, ()
 
-    def prepare(self, task: FluidTask) -> tuple:
+    def detach(self, task: FluidTask) -> Moves:
         return ()
 
-    def allocate_batch(self, statics: _t.Sequence) -> np.ndarray:
-        n = len(statics)
-        if n == 0:
-            return np.empty(0)
+    def _share(self, n: int) -> float:
         share = self.capacity / n
         cap = self.per_task_cap
         if cap is not None and share >= cap - _ABS_EPS:
             share = cap
-        return np.full(n, share)
+        return share
+
+    def allocate_batch(self, composition: _t.Mapping[None, int]) -> dict[None, float]:
+        return {None: self._share(composition[None])}
 
     def allocate(self, tasks: _t.Sequence[FluidTask]) -> list[float]:
-        return self.allocate_batch([()] * len(tasks)).tolist()
+        return [self._share(len(tasks))] * len(tasks)
+
+
+def _own_group(task: FluidTask) -> tuple[FluidTask, float, Moves]:
+    """Grouping of allocators that only offer ``allocate``: one per task."""
+    return task, 1.0, ()
 
 
 class FluidResource:
@@ -278,48 +321,27 @@ class FluidResource:
         self.allocator = allocator
         self.name = name
         self.observer = observer
-        self._active: list[FluidTask] = []
-        self._n = 0
-        # One (5, capacity) matrix holds all per-task progress state; the
-        # named attributes are row views, so element access stays readable
-        # while compaction on task exit is a single two-dimensional memmove.
-        # ``_zero_time`` is time spent at zero rate — active time is derived
-        # as elapsed-minus-zero-time, so the common all-rates-positive case
-        # never touches the row in :meth:`_advance`.
-        self._state = np.zeros((5, _INITIAL_CAPACITY))
-        (
-            self._remaining,
-            self._rates,
-            self._work,
-            self._zero_time,
-            #: Static part of the completion threshold (see :meth:`_settle`).
-            self._threshold,
-        ) = self._state
-        self._rates_have_zero = True
+        #: Active tasks in submit order (a dict for O(1) removal).
+        self._active: dict[FluidTask, None] = {}
+        self._groups: dict[_t.Hashable, _Group] = {}
+        #: Composition handed to ``allocate_batch``: active tasks per group.
+        self._counts: dict[_t.Hashable, int] = {}
+        self._seq = 0
         self._last_update = sim.now
         self._last_settled = -math.inf
         self._timer_version = 0
         self._armed_deadline: float | None = None
         self._dirty = False
-        prepare = getattr(allocator, "prepare", None)
         batch = getattr(allocator, "allocate_batch", None)
-        self._prepare = prepare if (prepare is not None and batch is not None) else None
-        self._batch = batch if self._prepare is not None else None
-        self._static_width: int | None = (
-            getattr(allocator, "static_width", None) if self._batch is not None else None
-        )
-        # Optional membership hooks: allocators that track incremental state
-        # over the active set (e.g. per-core occupancy) receive every static
-        # record on entry and exit.
-        self._notify_attach = (
-            getattr(allocator, "notify_attach", None) if self._batch is not None else None
-        )
-        self._notify_detach = (
-            getattr(allocator, "notify_detach", None) if self._batch is not None else None
-        )
-        self._statics: list = []
-        if self._static_width is not None:
-            self._statics_arr = np.zeros((_INITIAL_CAPACITY, self._static_width))
+        attach = getattr(allocator, "attach", None)
+        if batch is not None and attach is not None:
+            self._batch = batch
+            self._attach = attach
+            self._detach = getattr(allocator, "detach", None)
+        else:
+            self._batch = None
+            self._attach = _own_group
+            self._detach = None
         self.n_rebalances = 0
         self.n_coalesced = 0
         self.n_timer_skips = 0
@@ -329,10 +351,7 @@ class FluidResource:
     @property
     def active_tasks(self) -> tuple[FluidTask, ...]:
         """Snapshot of the currently executing tasks (rates up to date)."""
-        if self._dirty:
-            if self._last_update != self.sim.now:
-                self._advance()
-            self._flush()
+        self._refresh()
         return tuple(self._active)
 
     def submit(self, work: float, meta: dict | None = None) -> FluidTask:
@@ -350,34 +369,22 @@ class FluidResource:
             task.finish_time = now
             task.done.succeed(task)
             return task
-        prepare = self._prepare
-        if prepare is not None:
-            # Resolve the allocator's static record first so metadata errors
-            # surface at the submit call site, before any state changes.
-            static = prepare(task)
         if self._last_update != now:
             self._advance()
-        i = self._n
-        if i == len(self._remaining):
-            self._grow()
-        self._remaining[i] = work
-        self._rates[i] = 0.0
-        self._work[i] = work
-        self._zero_time[i] = 0.0
-        self._threshold[i] = max(work * _REL_EPS, _ABS_EPS)
-        self._active.append(task)
-        if prepare is not None:
-            width = self._static_width
-            if width is not None:
-                if width:
-                    self._statics_arr[i] = static
-            else:
-                self._statics.append(static)
-            notify = self._notify_attach
-            if notify is not None:
-                notify(static)
+        key, mult, moves = self._attach(task)
+        if not mult > 0.0:
+            if self._detach is not None:
+                self._detach(task)
+            raise ValueError(f"rate multiplier must be positive, got {mult!r}")
         task._res = self
-        self._n = i + 1
+        task._mult = mult
+        thr = work * _REL_EPS
+        task._thr = (thr if thr > _ABS_EPS else _ABS_EPS) / mult
+        task._order = self._seq
+        self._active[task] = None
+        self._place(task, key, work / mult, 0.0)
+        for sibling, new_key in moves:
+            self._move(sibling, new_key)
         self._mark_dirty()
         return task
 
@@ -385,22 +392,19 @@ class FluidResource:
         """Abort an active task; its ``done`` event is cancelled."""
         if task._res is not self:
             raise ValueError(f"{task!r} is not active on {self.name!r}")
-        if self._last_update != self.sim.now:
+        if self._last_update != self.sim._now:
             self._advance()
-        i = self._active.index(task)
-        self._detach(task, i)
-        self._notify_gone(i)
-        self._remove_indices([i])
+        self._retire(task, None)
+        if self._detach is not None:
+            for sibling, new_key in self._detach(task):
+                self._move(sibling, new_key)
         task.done.cancel()
         self._mark_dirty()
 
     def throughput(self) -> float:
         """Aggregate current rate over all active tasks."""
-        if self._dirty:
-            if self._last_update != self.sim.now:
-                self._advance()
-            self._flush()
-        return float(self._rates[: self._n].sum())
+        self._refresh()
+        return sum(task._group.base * task._mult for task in self._active)
 
     def stats(self) -> dict[str, int]:
         """Engine counters for manifests/telemetry (see class docstring)."""
@@ -414,81 +418,68 @@ class FluidResource:
             out.update(cache_info())
         return out
 
+    # -- group bookkeeping ----------------------------------------------------
+
+    def _place(self, task: FluidTask, key: _t.Hashable, span: float, zero: float) -> None:
+        """Enter ``task`` into group ``key`` with ``span`` work per multiplier
+        left and ``zero`` seconds already spent at rate 0."""
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = _Group()
+            self._counts[key] = 1
+        else:
+            self._counts[key] += 1
+        self._seq = seq = self._seq + 1
+        tag = group.clock + span
+        task._group = group
+        task._key = key
+        task._tag = tag
+        task._seq = seq
+        task._zero0 = zero - group.zero
+        _heappush(group.heap, (tag, seq, task))
+
+    def _unplace(self, task: FluidTask) -> tuple[float, float]:
+        """Take ``task`` out of its group; returns its (span, zero time).
+
+        The heap entry stays behind and is dropped lazily (its seq no longer
+        matches).  An emptied group is deleted, which restarts its clock.
+        """
+        group = task._group
+        key = task._key
+        count = self._counts[key] - 1
+        if count:
+            self._counts[key] = count
+        else:
+            del self._counts[key]
+            del self._groups[key]
+        task._group = None
+        task._seq = 0
+        return task._tag - group.clock, group.zero + task._zero0
+
+    def _move(self, task: FluidTask, key: _t.Hashable) -> None:
+        """Re-key an active task whose group changed (e.g. core occupancy)."""
+        if task._group is None or task._key == key:
+            return
+        span, zero = self._unplace(task)
+        self._place(task, key, span, zero)
+
+    def _retire(self, task: FluidTask, remaining: float | None) -> None:
+        """Remove a finished/cancelled task, writing its state back."""
+        task._rate = task._group.base * task._mult
+        span, zero = self._unplace(task)
+        task._remaining = span * task._mult if remaining is None else remaining
+        task._active_time = (self._last_update - task.start_time) - zero
+        task._res = None
+        del self._active[task]
+
     # -- engine internals -------------------------------------------------------
 
-    def _index_of(self, task: FluidTask) -> int:
-        return self._active.index(task)
-
-    def _notify_gone(self, i: int) -> None:
-        """Hand a departing task's static record to the allocator hook."""
-        notify = self._notify_detach
-        if notify is not None:
-            if self._static_width is not None:
-                notify(self._statics_arr[i])
-            else:
-                notify(self._statics[i])
-
-    def _grow(self) -> None:
-        cap = 2 * len(self._remaining)
-        new = np.zeros((5, cap))
-        new[:, : self._state.shape[1]] = self._state
-        self._state = new
-        (
-            self._remaining,
-            self._rates,
-            self._work,
-            self._zero_time,
-            self._threshold,
-        ) = new
-        if self._static_width is not None:
-            new_statics = np.zeros((cap, self._static_width))
-            new_statics[: self._statics_arr.shape[0]] = self._statics_arr
-            self._statics_arr = new_statics
-
-    def _detach(self, task: FluidTask, i: int) -> None:
-        """Write a task's array state back onto the object and release it."""
-        task._remaining = float(self._remaining[i])
-        task._rate = float(self._rates[i])
-        task._active_time = (self._last_update - task.start_time) - float(
-            self._zero_time[i]
-        )
-        task._res = None
-
-    def _remove_indices(self, gone: _t.Sequence[int]) -> None:
-        """Compact the arrays and the active/static lists, dropping ``gone``."""
-        n = self._n
-        m = n - len(gone)
-        if m == 0:
-            # Everything finished at once (a barrier): no compaction needed,
-            # the live prefix is simply empty.
-            self._active.clear()
-            self._statics.clear()
-            self._n = 0
-            return
-        if len(gone) == 1:
-            # Single finisher (the steady-state case): one strided memmove
-            # over the state matrix beats building a boolean mask.
-            i = gone[0]
-            self._state[:, i:m] = self._state[:, i + 1 : n]
-            del self._active[i]
-            if self._static_width is not None:
-                self._statics_arr[i:m] = self._statics_arr[i + 1 : n]
-            elif self._prepare is not None:
-                del self._statics[i]
-            self._n = m
-            return
-        keep = np.ones(n, dtype=bool)
-        keep[list(gone)] = False
-        self._state[:, :m] = self._state[:, :n][:, keep]
-        gone_set = set(gone)
-        self._active = [t for i, t in enumerate(self._active) if i not in gone_set]
-        if self._static_width is not None:
-            self._statics_arr[:m] = self._statics_arr[:n][keep]
-        elif self._prepare is not None:
-            self._statics = [
-                s for i, s in enumerate(self._statics) if i not in gone_set
-            ]
-        self._n = m
+    def _refresh(self) -> None:
+        """Run a pending rebalance now (for readers of rates)."""
+        if self._dirty:
+            if self._last_update != self.sim._now:
+                self._advance()
+            self._flush()
 
     def _mark_dirty(self) -> None:
         """Request a rebalance at the end of the current timestep.
@@ -513,16 +504,16 @@ class FluidResource:
         self._flush()
 
     def _advance(self) -> None:
-        """Integrate progress from the last change point to ``sim.now``."""
+        """Advance every group clock from the last change point to now."""
         now = self.sim._now
         dt = now - self._last_update
         if dt > 0.0:
-            n = self._n
-            if n:
-                rates = self._rates[:n]
-                self._remaining[:n] -= rates * dt
-                if self._rates_have_zero:
-                    self._zero_time[:n] += dt * (rates == 0.0)
+            for group in self._groups.values():
+                base = group.base
+                if base > 0.0:
+                    group.clock += base * dt
+                else:
+                    group.zero += dt
         self._last_update = now
 
     def _settle(self) -> None:
@@ -533,35 +524,42 @@ class FluidResource:
         dt that is off by one ulp of `now` leaves a residual of ~rate * ulp —
         without forgiving it, the resource would re-arm ever-shorter timers
         that no longer advance the clock (an infinite loop in finite time).
+        The ulp(V_g) term forgives the rounding of the group clock itself.
         """
         now = self.sim._now
         self._last_settled = now
-        n = self._n
-        if not n:
+        tick = _ulp(now) * _ULP_SLACK
+        finished: list[FluidTask] = []
+        for group in self._groups.values():
+            heap = group.heap
+            clock = group.clock
+            slack = group.base * tick
+            clock_slack = _ulp(clock) * _ULP_SLACK
+            if clock_slack > slack:
+                slack = clock_slack
+            while heap:
+                entry = heap[0]
+                task = entry[2]
+                if task._seq != entry[1]:
+                    _heappop(heap)
+                    continue
+                left = entry[0] - clock
+                if left > slack and left > task._thr:
+                    break
+                _heappop(heap)
+                finished.append(task)
+        if not finished:
             return
-        threshold = self._rates[:n] * (math.ulp(now) * 8.0)
-        np.maximum(threshold, self._threshold[:n], out=threshold)
-        gone = (self._remaining[:n] <= threshold).nonzero()[0]
-        if gone.size == 0:
-            return
-        if gone.size == 1:
-            # Single finisher — the steady-state case of a pipelined drain.
-            i = int(gone[0])
-            task = self._active[i]
-            self._remaining[i] = 0.0
-            self._detach(task, i)
+        if len(finished) > 1:
+            finished.sort(key=_submit_order)
+        for task in finished:
+            self._retire(task, 0.0)
             task.finish_time = now
-            self._notify_gone(i)
-            self._remove_indices((i,))
-            task.done.succeed(task)
-            return
-        finished = [self._active[i] for i in gone]
-        for i, task in zip(gone, finished):
-            self._remaining[i] = 0.0
-            self._detach(task, i)
-            task.finish_time = now
-            self._notify_gone(i)
-        self._remove_indices(gone.tolist())
+        detach = self._detach
+        if detach is not None:
+            for task in finished:
+                for sibling, new_key in detach(task):
+                    self._move(sibling, new_key)
         for task in finished:
             task.done.succeed(task)
 
@@ -576,36 +574,33 @@ class FluidResource:
             # completion deadline (rates are constant between flushes), so a
             # flush strictly before it skips the finished-task scan.
             self._settle()
-        n = self._n
-        if n:
+        groups = self._groups
+        if groups:
             if self._batch is not None:
-                if self._static_width is not None:
-                    statics = self._statics_arr[:n]
-                else:
-                    statics = self._statics
-                rates = self._batch(statics)
-                if not isinstance(rates, np.ndarray):
-                    rates = np.asarray(rates, dtype=float)
+                rates = self._batch(self._counts)
             else:
-                rates = np.asarray(self.allocator.allocate(self._active), dtype=float)
-            if rates.shape != (n,):
-                raise RuntimeError(
-                    f"allocator returned {rates.size} rates for {n} tasks"
-                )
-            rmin = rates.min()
-            self._rates[:n] = rates
-            if rmin > 0.0:
-                self._rates_have_zero = False
-                eta = float((self._remaining[:n] / rates).min())
-            elif rmin < 0.0:
-                raise RuntimeError(f"allocator produced a negative rate {float(rmin)!r}")
-            else:
-                self._rates_have_zero = True
-                positive = rates > 0.0
-                if positive.any():
-                    eta = float((self._remaining[:n][positive] / rates[positive]).min())
-                else:
-                    eta = float("inf")
+                tasks = tuple(self._active)
+                out = self.allocator.allocate(tasks)
+                if len(out) != len(tasks):
+                    raise RuntimeError(
+                        f"allocator returned {len(out)} rates for {len(tasks)} tasks"
+                    )
+                rates = dict(zip(tasks, out))
+            eta = math.inf
+            for key, group in groups.items():
+                base = rates[key]
+                group.base = base
+                if base > 0.0:
+                    heap = group.heap
+                    top = heap[0]
+                    while top[2]._seq != top[1]:
+                        _heappop(heap)
+                        top = heap[0]
+                    left = (top[0] - group.clock) / base
+                    if left < eta:
+                        eta = left
+                elif base != 0.0:
+                    raise RuntimeError(f"allocator produced a negative rate {base!r}")
             self._arm_timer(eta)
         else:
             self._timer_version += 1  # disarm any outstanding timer
@@ -615,18 +610,21 @@ class FluidResource:
             self.observer(self, now)
 
     def _arm_timer(self, eta: float) -> None:
-        if eta == float("inf"):
+        if eta == math.inf:
             self._timer_version += 1
             self._armed_deadline = None
             return
         # Never arm a timer that cannot advance the float clock.
         now = self.sim._now
-        eta = max(eta, math.ulp(now))
+        tick = _ulp(now)
+        if eta < tick:
+            eta = tick
         deadline = now + eta
-        if self._armed_deadline is not None and self._armed_deadline == deadline:
-            # The earliest finisher did not move (e.g. a rebalance that left
-            # rates unchanged): the already-armed timer stays valid, no fresh
-            # Timeout allocation, no version churn.
+        armed = self._armed_deadline
+        if armed is not None and abs(armed - deadline) <= _ulp(deadline):
+            # The earliest finisher did not move beyond clock rounding (e.g.
+            # a rebalance that left rates unchanged): the already-armed timer
+            # stays valid, no fresh Timeout allocation, no version churn.
             self.n_timer_skips += 1
             return
         self._timer_version += 1
@@ -641,11 +639,11 @@ class FluidResource:
             self._advance()
         # Complete the finishers now (their callbacks run at NORMAL priority)
         # but *defer* the reallocation: completion callbacks routinely submit
-        # successor work at this very timestamp, and the deferred LAZY flush
+        # successor work at this very timestep, and the deferred LAZY flush
         # absorbs the finish and the resubmits into one allocator call — the
         # intermediate composition is never priced at all.
         self._settle()
-        if self._n == 0 and not self._dirty:
+        if not self._groups and not self._dirty:
             # Nothing left to price: disarm and notify observers now rather
             # than via a deferred event a caller's `run(until=...)` may never
             # drain.

@@ -14,7 +14,7 @@ compares against.  It captures:
 * fluid-engine counters of the contended resources (rebalances, coalesced
   updates, skipped timer re-arms, allocation-cache hits/misses) under
   ``engine.cpu`` / ``engine.network`` — the observability hooks of the
-  vectorized contention engine,
+  virtual-time contention engine,
 * the POP efficiency factors when the caller ran the ideal-network replay,
 * the fault-injection report (scenario, injected/recovered counts, per-
   attempt outcomes) when the run carried a fault scenario,

@@ -1,13 +1,11 @@
-"""Property tests of the water-filling kernels and the allocation memo.
+"""Property tests of the water filling and the allocation memo.
 
-The contention engine has three implementations of the same max-min fair
-allocation — the reference Python fixpoint (:func:`waterfill`), the
-vectorized sort+cumsum version (:func:`waterfill_vec`) and its scalar twin
-for tiny compositions (``_waterfill_scalar``) — plus a composition-keyed
-memo on top.  These tests pin the invariants that let them substitute for
-each other: feasibility, demand-boundedness, max-min fairness, bit-level
-agreement of the twin paths, and order/cache independence of the memoized
-allocator.
+The contention allocator prices every composition with one scalar
+:func:`waterfill` over demand groups.  The vectorized sort+cumsum version
+it replaced (:func:`waterfill_vec`, kept in ``waterfill_oracle``) is the
+reference: these tests pin feasibility, demand-boundedness, max-min
+fairness, bit-level agreement with the oracle (per node, for any group
+count), and order/cache independence of the memoized allocator.
 """
 
 import math
@@ -17,17 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.contention import (
-    BandwidthContentionAllocator,
-    _SCALAR_MAX_GROUPS,
-    _waterfill_scalar,
-    waterfill,
-    waterfill_vec,
-)
+from repro.machine.contention import BandwidthContentionAllocator, waterfill
 from repro.machine.phases import PhaseProfile
 from repro.machine.topology import HwThread
-from repro.simkit.fluid import FluidTask
+from repro.simkit.fluid import FluidResource, FluidTask
 from repro.simkit.simulator import Simulator
+from tests.machine.waterfill_oracle import price_vec, waterfill_vec
+
+#: Below this many groups the scalar and numpy sums run in the same order.
+_BIT_EXACT_GROUPS = 7
 
 demand_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
@@ -85,7 +81,7 @@ class TestScalarTwinBitExactness:
     @given(data=st.data(), capacity=capacities)
     @settings(max_examples=200)
     def test_scalar_twin_is_bit_identical_below_group_limit(self, data, capacity):
-        m = data.draw(st.integers(min_value=1, max_value=_SCALAR_MAX_GROUPS))
+        m = data.draw(st.integers(min_value=1, max_value=_BIT_EXACT_GROUPS))
         demands = data.draw(
             st.lists(
                 st.floats(
@@ -104,9 +100,9 @@ class TestScalarTwinBitExactness:
         vec = waterfill_vec(
             np.asarray(demands), capacity, np.asarray(weights, dtype=np.int64)
         )
-        scalar = _waterfill_scalar(demands, capacity, weights)
-        # Bit-identical, not approximately equal: the memo must not depend
-        # on which path priced a composition first.
+        scalar = waterfill(demands, capacity, weights)
+        # Bit-identical, not approximately equal: numpy reduces fewer than
+        # 8 elements strictly sequentially, exactly like the scalar loop.
         assert [float(v) for v in vec] == scalar
 
 
@@ -191,8 +187,7 @@ class TestAllocatorMemo:
         """allocate() must restore the incremental occupancy tracking."""
         alloc = _make_allocator()
         alloc.allocate(_make_tasks(spec))
-        assert alloc._core_occ == {}
-        assert alloc._multi_cores == 0
+        assert alloc._cores == {}
 
     def test_hyperthread_sharing_halves_the_ceiling(self):
         """Two compute-bound hyper-threads on one core each run at ipc0/2."""
@@ -213,19 +208,16 @@ class TestAllocatorMemo:
         assert info["alloc_cache_size"] == 1
 
     def test_engine_path_equals_direct_path(self):
-        """The batch protocol (statics array) and allocate() agree exactly."""
+        """The fluid engine's group rates and allocate() agree exactly."""
         alloc = _make_allocator()
         spec = [(0, 0, 1.0), (1, 0, 1.1), (2, 1, 0.9), (1, 2, 1.0)]
-        tasks = _make_tasks(spec)
-        direct = alloc.allocate(tasks)
+        direct = alloc.allocate(_make_tasks(spec))
 
-        engine = _make_allocator()
-        statics = [engine.prepare(t) for t in tasks]
-        for s in statics:
-            engine.notify_attach(s)
-        arr = np.asarray(statics, dtype=float)
-        batch = engine.allocate_batch(arr)
-        assert direct == batch.tolist()
+        sim = Simulator()
+        engine = FluidResource(sim, _make_allocator(), name="cpu")
+        tasks = [engine.submit(1e9, meta=t.meta) for t in _make_tasks(spec)]
+        assert [t.rate for t in engine.active_tasks] == direct
+        assert list(engine.active_tasks) == tasks
 
 
 class TestMathEdgeCases:
@@ -246,3 +238,74 @@ class TestMathEdgeCases:
         grants = waterfill_vec(np.array([1e-30, 1e30]), 1.0)
         assert math.isfinite(float(grants.sum()))
         assert float(grants[0]) == pytest.approx(1e-30)
+
+
+#: Small value pools so that demands tie across profiles and occupancies
+#: (ipc0 2 at occupancy 2 demands what ipc0 1 demands alone).
+_IPC0S = (0.5, 1.0, 2.0, 4.0)
+_BPIS = (0.0, 0.5, 1.0, 2.0)
+
+
+class TestOnePricing:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pricing_matches_vectorized_oracle(self, data):
+        """Per node, the scalar pricing equals the numpy oracle bit for bit
+        below 8 groups and within 1 ulp above, for 1-64 groups on 1-4 nodes."""
+        n_nodes = data.draw(st.integers(min_value=1, max_value=4))
+        groups = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_IPC0S),
+                    st.sampled_from(_BPIS),
+                    st.integers(min_value=1, max_value=4),  # core occupancy
+                    st.integers(min_value=0, max_value=n_nodes - 1),
+                ),
+                min_size=1,
+                max_size=64,
+                unique=True,
+            )
+        )
+        counts = data.draw(
+            st.lists(
+                st.integers(min_value=1, max_value=64),
+                min_size=len(groups),
+                max_size=len(groups),
+            )
+        )
+        bandwidth = data.draw(st.floats(min_value=1e8, max_value=1e12))
+        rampup = data.draw(st.booleans())
+        alloc = BandwidthContentionAllocator(
+            frequency_hz=1.4e9,
+            bandwidth_bytes_per_s=bandwidth,
+            bandwidth_rampup_max=bandwidth * 1.5 if rampup else None,
+            bandwidth_rampup_half=8.0,
+        )
+        sim = Simulator()
+        profiles = {}
+        composition = {}
+        for (ipc0, bpi, occ, node), count in zip(groups, counts):
+            # Intern the profile through the public protocol.
+            probe = FluidTask(
+                sim,
+                1.0,
+                meta={
+                    "profile": PhaseProfile("p", ipc0, bpi),
+                    "thread": HwThread(core=0, slot=0, index=0, node=node),
+                },
+            )
+            pid = alloc.attach(probe)[0] >> 24
+            alloc.detach(probe)
+            profiles[pid] = (ipc0, bpi)
+            composition[(pid << 24) | (occ << 12) | node] = count
+        rates = alloc.allocate_batch(composition)
+        oracle = price_vec(alloc, profiles, composition)
+        assert rates.keys() == oracle.keys()
+        per_node = {}
+        for code in composition:
+            per_node[code & 0xFFF] = per_node.get(code & 0xFFF, 0) + 1
+        for code, rate in rates.items():
+            if per_node[code & 0xFFF] <= _BIT_EXACT_GROUPS:
+                assert rate == oracle[code]
+            else:
+                assert abs(rate - oracle[code]) <= math.ulp(oracle[code])

@@ -1,14 +1,15 @@
-"""Engine-level tests of the vectorized fluid resource.
+"""Engine-level tests of the virtual-time fluid resource.
 
 Covers the observability counters (rebalances, coalescing, timer-churn
-skips), the struct-of-arrays bookkeeping across grow/compact cycles, the
-allocator attach/detach notification hooks, and the lazy zero-rate
-``active_time`` accounting — the machinery behind the contention engine's
-hot path rather than the fluid semantics themselves (those live in
-``test_fluid.py``).
+skips), the group bookkeeping across many arrivals and departures, the
+allocator attach/detach hooks with sibling re-keying, the lazy zero-rate
+``active_time`` accounting and the virtual-clock numerics — the machinery
+behind the contention engine's hot path rather than the fluid semantics
+themselves (those live in ``test_fluid.py``).
 """
 
-import numpy as np
+import math
+
 import pytest
 
 from repro.simkit import EqualShareAllocator, FluidResource, Simulator
@@ -19,10 +20,11 @@ def sim():
     return Simulator()
 
 
-class RecordingBatchAllocator:
-    """Minimal batch-protocol allocator that logs every engine hook."""
+class RecordingGroupAllocator:
+    """Minimal group-protocol allocator that logs every engine hook.
 
-    static_width = 2
+    Every task is in one group; ``capacity`` is shared equally.
+    """
 
     def __init__(self, capacity=4.0):
         self.capacity = capacity
@@ -30,19 +32,17 @@ class RecordingBatchAllocator:
         self.detached = []
         self.batch_calls = 0
 
-    def prepare(self, task):
-        return (float(task.meta.get("tag", 0)), 1.0)
+    def attach(self, task):
+        self.attached.append(float(task.meta.get("tag", 0)))
+        return "all", 1.0, ()
 
-    def notify_attach(self, static):
-        self.attached.append(float(static[0]))
+    def detach(self, task):
+        self.detached.append(float(task.meta.get("tag", 0)))
+        return ()
 
-    def notify_detach(self, static):
-        self.detached.append(float(static[0]))
-
-    def allocate_batch(self, statics):
+    def allocate_batch(self, composition):
         self.batch_calls += 1
-        n = len(statics)
-        return np.full(n, self.capacity / n)
+        return {"all": self.capacity / composition["all"]}
 
 
 class TestCounters:
@@ -75,7 +75,7 @@ class TestCounters:
         assert cpu.stats()["n_timer_skips"] == 1
 
     def test_stats_include_allocator_cache_info(self, sim):
-        class WithCacheInfo(RecordingBatchAllocator):
+        class WithCacheInfo(RecordingGroupAllocator):
             def cache_info(self):
                 return {"alloc_cache_hits": 3}
 
@@ -101,7 +101,7 @@ class TestCounters:
 
 class TestNotificationHooks:
     def test_attach_and_detach_bracket_every_task(self, sim):
-        alloc = RecordingBatchAllocator()
+        alloc = RecordingGroupAllocator()
         cpu = FluidResource(sim, alloc, name="cpu")
 
         def body():
@@ -116,7 +116,7 @@ class TestNotificationHooks:
         assert alloc.detached == [1.0, 2.0]
 
     def test_cancel_also_notifies_detach(self, sim):
-        alloc = RecordingBatchAllocator()
+        alloc = RecordingGroupAllocator()
         cpu = FluidResource(sim, alloc, name="cpu")
         task = cpu.submit(100.0, meta={"tag": 7})
         cpu.submit(100.0, meta={"tag": 8})
@@ -125,7 +125,7 @@ class TestNotificationHooks:
         assert alloc.detached == [7.0]
 
     def test_barrier_finish_detaches_everyone(self, sim):
-        alloc = RecordingBatchAllocator(capacity=4.0)
+        alloc = RecordingGroupAllocator(capacity=4.0)
         cpu = FluidResource(sim, alloc, name="cpu")
         for tag in (1, 2):
             cpu.submit(6.0, meta={"tag": tag})  # equal rates: both end at t=3
@@ -214,3 +214,128 @@ class TestCompletionTimer:
         sim.run(until=5.0)
         assert not cpu.active_tasks
         assert task.done._exception is not None
+
+
+class CoreAllocator:
+    """Group allocator whose key depends on a sibling count: every active
+    task shares one core, so each arrival or departure re-keys the rest."""
+
+    def __init__(self):
+        self.members = []
+
+    def attach(self, task):
+        self.members.append(task)
+        n = len(self.members)
+        return n, task.meta.get("speed", 1.0), [(t, n) for t in self.members[:-1]]
+
+    def detach(self, task):
+        self.members.remove(task)
+        n = len(self.members)
+        return [(t, n) for t in self.members]
+
+    def allocate_batch(self, composition):
+        # Issue sharing: with n tasks on the core each runs at 1/n.
+        return {n: 1.0 / n for n in composition}
+
+
+class TestGroups:
+    def test_sibling_rekeying_follows_occupancy(self, sim):
+        cpu = FluidResource(sim, CoreAllocator(), name="cpu")
+        finish = {}
+
+        def worker(name, delay, work, speed):
+            yield sim.timeout(delay)
+            task = cpu.submit(work, meta={"speed": speed})
+            yield task.done
+            finish[name] = sim.now
+
+        sim.process(worker("a", 0.0, 2.0, 1.0))
+        sim.process(worker("b", 1.0, 1.0, 2.0))
+        sim.run()
+        # a alone until t=1 (1 left); then a at 1/2, b at 2 * 1/2 = 1:
+        # b ends at t=2 with a at 0.5 left, which a finishes alone at t=2.5.
+        assert finish["b"] == pytest.approx(2.0, rel=1e-15)
+        assert finish["a"] == pytest.approx(2.5, rel=1e-15)
+        assert not cpu._groups
+
+    def test_rate_is_base_times_multiplier(self, sim):
+        cpu = FluidResource(sim, CoreAllocator(), name="cpu")
+        a = cpu.submit(10.0, meta={"speed": 1.5})
+        b = cpu.submit(10.0, meta={"speed": 0.5})
+        assert [t.rate for t in cpu.active_tasks] == [0.75, 0.25]
+        assert cpu.throughput() == 1.0
+        sim.run(until=2.0)
+        cpu.cancel(b)  # a change point: progress is integrated up to now
+        assert a.remaining == pytest.approx(8.5)
+        assert b.remaining == pytest.approx(9.5)
+        assert a.progress == pytest.approx(0.15)
+        assert a.active_time == 2.0
+        assert [t.rate for t in cpu.active_tasks] == [1.5]
+
+    def test_group_clock_restarts_when_the_group_empties(self, sim):
+        cpu = FluidResource(sim, EqualShareAllocator(1.0), name="cpu")
+
+        def body():
+            first = cpu.submit(3.0)
+            yield first.done
+            second = cpu.submit(2.0)
+            assert second._group.clock == 0.0
+            assert second._tag == 2.0
+            yield second.done
+
+        sim.run(sim.process(body()))
+        assert sim.now == 5.0
+
+    def test_non_positive_multiplier_rejected(self, sim):
+        alloc = CoreAllocator()
+        cpu = FluidResource(sim, alloc, name="cpu")
+        with pytest.raises(ValueError, match="multiplier"):
+            cpu.submit(1.0, meta={"speed": 0.0})
+        assert alloc.members == []
+
+    def test_negative_group_rate_rejected(self, sim):
+        class Negative(RecordingGroupAllocator):
+            def allocate_batch(self, composition):
+                return {"all": -1.0}
+
+        cpu = FluidResource(sim, Negative(), name="cpu")
+        cpu.submit(1.0)
+        with pytest.raises(RuntimeError, match="negative rate"):
+            sim.run()
+
+
+class TestVirtualClockNumerics:
+    def test_long_lived_group_fires_one_timer_per_task(self, sim):
+        """10^4 back-to-back tasks in a group that never empties.
+
+        The group runs alone at a high base rate first, so its clock ends
+        far ahead of ``base * now`` and its ulp exceeds both the
+        ``rate * 8 ulp(now)`` and the ``work * 1e-12`` slack of the small
+        tasks; still every task completes on its first timer instead of
+        re-arming for residuals that are only clock rounding.
+        """
+        n = 10_000
+        cpu = FluidResource(sim, EqualShareAllocator(3.0), name="cpu")
+        fired = []
+        on_timer = cpu._on_timer
+
+        def counting(version):
+            if version == cpu._timer_version:
+                fired.append(sim.now)
+            on_timer(version)
+
+        cpu._on_timer = counting
+        anchor = cpu.submit(1e12)
+
+        def chain():
+            yield sim.timeout(1000.0)
+            for _ in range(30):
+                cpu.submit(1e12)
+            for k in range(n):
+                task = cpu.submit(0.01 * (1.0 + (k % 7) / 10.0))
+                yield task.done
+
+        sim.run(sim.process(chain()))
+        assert len(fired) == n
+        clock = anchor._group.clock
+        assert math.ulp(clock) > 8.0 * math.ulp(sim.now) * (3.0 / 32)
