@@ -12,10 +12,10 @@ committed baseline file:
 ``dataplane``
     Data-mode band throughput (bands/s) of the 8x8 reference workload
     (ecutwfc 30, alat 10, 32 bands, ``original``) — the configuration whose
-    hot path is the zero-allocation data plane: workspace arenas, cached
-    flat index maps, batched marshalling, and the direct batched-matmul FFT
-    combine.  Baseline: ``benchmarks/BENCH_dataplane.json``, which also
-    records the pre-arena throughput the optimization is measured against.
+    hot path is the pack-free data plane: cached flat index maps, Alltoallw
+    block moves into fresh buffers, and the batched FFT kernels.  Baseline:
+    ``benchmarks/BENCH_dataplane.json``, which also records the throughput
+    before the data-plane optimizations for comparison.
 
 ``multinode``
     Data-mode band throughput (bands/s) across the multi-node grid —
@@ -124,7 +124,7 @@ def measure_contention(rounds: int = 5) -> dict:
 def _bands_per_s(cfg, rounds: int) -> float:
     from repro.core.driver import run_fft_phase
 
-    run_fft_phase(cfg)  # warm geometry/plan caches and the buffer arenas
+    run_fft_phase(cfg)  # warm geometry and plan caches
     best = 0.0
     for _ in range(rounds):
         t0 = time.perf_counter()
@@ -138,30 +138,16 @@ def measure_dataplane(rounds: int = 5) -> dict:
     """Best-of-``rounds`` data-mode band throughput (complex bands/s).
 
     The ratcheted metric, ``bands_per_s``, is the default configuration
-    (``fft_backend="numpy"``, ``kernel_workers=1``).  Alongside it the
-    baseline records ``bands_per_s_workers2`` — the same workload fanned
-    over the 2-worker kernel process pool — and the host core count, for
-    context rather than ratcheting: on a multicore host the pool buys real
-    parallelism, while on a single-core runner (CI containers are often
-    exactly that) the fan-out is pure IPC overhead and the workers-2 number
-    lands *below* the serial one.  Recording ``host_cpus`` next to both
-    numbers keeps that distinction honest.
+    (``fft_backend="numpy"``); the host core count rides along for context.
     """
-    import dataclasses
     import os
-
-    from repro.fft.backends.pool import close_shared_pools
 
     cfg = dataplane_config()
     best = _bands_per_s(cfg, rounds)
-    cfg2 = dataclasses.replace(cfg, kernel_workers=2)
-    best_workers2 = _bands_per_s(cfg2, rounds)
-    close_shared_pools()
     return {
         "kind": "repro.bench_dataplane",
         "config": cfg.label(),
         "bands_per_s": best,
-        "bands_per_s_workers2": best_workers2,
         "host_cpus": os.cpu_count(),
         "n_complex_bands": cfg.n_complex_bands,
         "pre_arena_bands_per_s": PRE_ARENA_BANDS_PER_S,
@@ -325,8 +311,8 @@ TARGETS = {
         "repro.bench_dataplane",
         "bands_per_s",
         measure_dataplane,
-        "profile the data-plane hot path — arena reuse, index-map caching, "
-        "and the batched FFT combine (see docs/PERFORMANCE.md)",
+        "profile the data-plane hot path — index-map caching, the Alltoallw "
+        "block moves and the batched FFT kernels (see docs/PERFORMANCE.md)",
     ),
     "multinode": (
         _HERE / "BENCH_multinode.json",

@@ -1,10 +1,10 @@
-"""Data-plane microbenchmarks: arenas, index-map marshalling, FFT combine.
+"""Data-plane microbenchmarks: pack-free exchanges, FFT stage, full run.
 
-Times the layers the zero-allocation data plane is built from, bottom up:
+Times the layers the data plane is built from, bottom up:
 
-* one arena acquire/release cycle (the pooled hot path),
-* the batched group expand/extract against the cached flat index maps,
-* the batched z-stick FFT writing into an arena ``out`` buffer,
+* the pack and scatter Alltoallw element moves of one group, applied with
+  numpy from the cached plan indices (what the simulated collective does),
+* the batched z-stick FFT on a fresh output,
 * one full reference data-mode run, reporting the ``dataplane`` counters
   the run manifest exports.
 
@@ -15,9 +15,8 @@ benchmarks only assert structural facts that hold at any machine speed.
 
 import numpy as np
 
+from repro.core import redistribute as redist
 from repro.core.driver import RunConfig, run_fft_phase
-from repro.core.wave import expand_group_block, extract_group_coefficients
-from repro.core.workspace import Workspace
 from repro.fft import cft_1z
 from repro.grids.descriptor import Cell, DistributedLayout, FftDescriptor
 
@@ -41,80 +40,62 @@ def _reference_layout():
     return DistributedLayout(desc, n_scatter=8, n_groups=8)
 
 
-def test_bench_arena_acquire_release(benchmark):
-    ws = Workspace()
-    shape = (241, 35)  # the reference workload's group stick block
-
-    def cycle():
-        buf = ws.acquire("stick_block", shape)
-        ws.release(buf)
-        return buf
-
-    buf = benchmark(cycle)
-    assert buf.shape == shape
-    stats = ws.stats()
-    assert stats["alloc_misses"] == 1  # everything after the first is a hit
-    assert stats["reuse_hits"] == stats["acquires"] - 1
+def _random(shape):
+    return _RNG.standard_normal(shape) + 1j * _RNG.standard_normal(shape)
 
 
-def test_bench_expand_group_block(benchmark):
-    layout = _reference_layout()
-    ws = Workspace()
-    r = 0
-    offsets = layout.group_coeff_offsets(r)
-    member_coeffs = [
-        _RNG.standard_normal(int(offsets[t + 1] - offsets[t]))
-        + 1j * _RNG.standard_normal(int(offsets[t + 1] - offsets[t]))
-        for t in range(layout.T)
-    ]
-    out = np.empty((layout.nst_group(r), layout.desc.nr3), dtype=np.complex128)
-    block = benchmark(
-        expand_group_block, layout, r, member_coeffs, out=out, workspace=ws
-    )
-    assert block is out
-    # The staging buffer cycles through the arena: one miss, then all hits.
-    stats = ws.stats()
-    assert stats["alloc_misses"] == 1
-    assert stats["live"] == 0
+def _exchange(plans, sends):
+    """Every member's receive buffer after one Alltoallw of ``plans``."""
+    recvs = []
+    for i, plan in enumerate(plans):
+        recv = np.zeros(plan.recv_shape, dtype=np.complex128)
+        flat = recv.reshape(-1)
+        for j, send in enumerate(sends):
+            flat[plan.recv_blocks[j].indices()] = send.reshape(-1)[
+                plans[j].send_blocks[i].indices()
+            ]
+        recvs.append(recv)
+    return recvs
 
 
-def test_bench_extract_group_coefficients(benchmark):
+def test_bench_pack_exchange(benchmark):
     layout = _reference_layout()
     r = 0
-    block = _RNG.standard_normal(
-        (layout.nst_group(r), layout.desc.nr3)
-    ) + 1j * _RNG.standard_normal((layout.nst_group(r), layout.desc.nr3))
-    out = np.empty(int(layout.group_coeff_offsets(r)[-1]), dtype=np.complex128)
-    parts = benchmark(extract_group_coefficients, layout, r, block, out=out)
-    assert len(parts) == layout.T
-    # Parts are zero-copy row slices of the gather destination.
-    assert all(p.base is out for p in parts)
+    procs = [layout.proc_of(r, t) for t in range(layout.T)]
+    plans = [redist.pack_fw_plan(layout, p, True) for p in procs]
+    rows = [_random((layout.T, layout.ngw_of(p))) for p in procs]
+    blocks = benchmark(_exchange, plans, rows)
+    # Each member's group block holds exactly its group's sphere share.
+    ngw_group = int(layout.group_coeff_offsets(r)[-1])
+    assert all(np.count_nonzero(b) == ngw_group for b in blocks)
 
 
-def test_bench_cft_1z_into_arena(benchmark):
+def test_bench_scatter_exchange(benchmark):
     layout = _reference_layout()
-    shape = (layout.nst_group(0), layout.desc.nr3)
-    sticks = _RNG.standard_normal(shape) + 1j * _RNG.standard_normal(shape)
-    out = np.empty(shape, dtype=np.complex128)
-    res = benchmark(cft_1z, sticks, 1, out=out)
-    assert res is out
-    np.testing.assert_array_equal(
-        res.view(np.float64), cft_1z(sticks, 1).view(np.float64)
-    )
+    desc = layout.desc
+    plans = [redist.scatter_fw_plan(layout, r, True) for r in range(layout.R)]
+    blocks = [_random((layout.nst_group(r), desc.nr3)) for r in range(layout.R)]
+    planes = benchmark(_exchange, plans, blocks)
+    # Every stick of the grid lands once per plane.
+    for r, p in enumerate(planes):
+        assert np.count_nonzero(p) == desc.sticks.nsticks * layout.npp(r)
+
+
+def test_bench_cft_1z(benchmark):
+    layout = _reference_layout()
+    sticks = _random((layout.nst_group(0), layout.desc.nr3))
+    res = benchmark(cft_1z, sticks, 1)
+    assert res.shape == sticks.shape
 
 
 def test_bench_reference_run_dataplane_counters(run_once):
     """Full reference data-mode run; prints the manifest's counters."""
     cfg = _reference_config()
-    run_fft_phase(cfg)  # warm geometry/plan caches and the buffer arenas
+    run_fft_phase(cfg)  # warm geometry and plan caches
     result = run_once(run_fft_phase, cfg)
     dp = result.dataplane
     print(f"\ndataplane counters: {dp}")
     assert dp is not None
-    # A warm run recycles every marshalling buffer: no new allocations.
-    assert dp["alloc_misses"] == 0
-    assert dp["reuse_hits"] == dp["acquires"]
-    # Balanced checkouts: the run returns everything it borrowed.
-    assert dp["live"] == 0
-    assert dp["acquires"] == dp["releases"]
-    assert dp["bytes_resident"] > 0
+    assert dp["decomposition"] == "slab"
+    # Four batched kernels per band chain on every process.
+    assert dp["kernel_calls"] == 4 * cfg.n_iterations * cfg.n_mpi_ranks

@@ -98,27 +98,6 @@ def test_bench_soa_marshal_roundtrip(benchmark):
     np.testing.assert_array_equal(back, x)
 
 
-def test_dataplane_workers2_ratchet_requires_multicore():
-    """The committed workers-2 number only ratchets on a multicore host.
-
-    ``BENCH_dataplane.json`` records ``bands_per_s_workers2`` (the 2-worker
-    kernel pool) next to ``host_cpus`` for context.  On a single-core host
-    the pool fan-out is pure IPC overhead, so a committed workers-2 value
-    *above* the serial throughput with ``host_cpus == 1`` can only mean the
-    baseline was recorded inconsistently — refuse it.
-    """
-    import json
-    import pathlib
-
-    path = pathlib.Path(__file__).parent / "BENCH_dataplane.json"
-    doc = json.loads(path.read_text())
-    if doc.get("host_cpus", 0) <= 1:
-        assert doc["bands_per_s_workers2"] <= doc["bands_per_s"], (
-            "workers-2 throughput exceeds serial in a single-core baseline; "
-            "re-record BENCH_dataplane.json on the host that ratchets it"
-        )
-
-
 def test_bench_soa_combine_vs_aos_combine(benchmark):
     """A representative combine step (axpy over the block) in both layouts.
 

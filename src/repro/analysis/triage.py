@@ -135,8 +135,7 @@ _COUNTERS = (
     ("engine.cpu.events", "cpu engine events"),
     ("engine.network.rebalances", "network rebalances"),
     ("engine.network.events", "network engine events"),
-    ("dataplane.alloc_misses", "arena allocation misses"),
-    ("dataplane.bytes_resident", "arena bytes resident"),
+    ("dataplane.kernel_calls", "kernel calls"),
 )
 
 

@@ -217,16 +217,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         help="FFT kernel backend for every point (see 'backends'; default numpy)",
     )
     p_sweep.add_argument(
-        "--kernel-workers", type=int, default=1, metavar="N",
-        help="real cores per batched kernel call (default 1)",
-    )
-    p_sweep.add_argument(
         "--decomposition", default="slab", choices=["slab", "pencil"],
         help="grid decomposition for every point (default slab)",
-    )
-    p_sweep.add_argument(
-        "--redistribution", default="packfree", choices=["packed", "packfree"],
-        help="data-plane redistribution strategy (default packfree)",
     )
     p_sweep.add_argument(
         "--tuning", default="off", choices=["off", "consult", "search"],
@@ -290,19 +282,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         "default numpy)",
     )
     p_run.add_argument(
-        "--kernel-workers", type=int, default=1, metavar="N",
-        help="real cores per batched kernel call: scipy/pyFFTW thread "
-        "in-library, numpy/native fan out over the shared-memory process "
-        "pool (default 1)",
-    )
-    p_run.add_argument(
         "--decomposition", default="slab", choices=["slab", "pencil"],
         help="grid decomposition: z-slabs (default) or a 2D pencil grid",
-    )
-    p_run.add_argument(
-        "--redistribution", default="packfree", choices=["packed", "packfree"],
-        help="data-plane redistribution: staged pack/unpack copies or "
-        "pack-free Alltoallw datatypes (default packfree)",
     )
     p_run.add_argument(
         "--tuning", default="off", choices=["off", "consult", "search"],
@@ -585,11 +566,10 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         for row in backend_info():
             status = "available" if row["available"] else "unavailable"
             marker = " (default)" if row["name"] == DEFAULT_BACKEND else ""
-            workers = "in-library workers" if row["supports_workers"] else "process pool"
             print(
                 f"{row['name']:<8} {status:<12} {row['note']}{marker}\n"
                 f"{'':<8} kinds: {', '.join(row['kinds'])}; "
-                f"layouts: {', '.join(row['layouts'])}; multicore via {workers}"
+                f"layouts: {', '.join(row['layouts'])}"
             )
         return 0
 
@@ -635,9 +615,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                 telemetry=want_telemetry,
                 faults=scenario,
                 fft_backend=args.fft_backend,
-                kernel_workers=args.kernel_workers,
                 decomposition=args.decomposition,
-                redistribution=args.redistribution,
                 tuning=args.tuning,
                 wisdom_path=args.wisdom,
                 link_capacity=args.link_capacity,
@@ -773,9 +751,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         base: dict[str, _t.Any] = dict(QUICK_WORKLOAD) if args.quick else {}
         base["telemetry"] = True
         base["fft_backend"] = args.fft_backend
-        base["kernel_workers"] = args.kernel_workers
         base["decomposition"] = args.decomposition
-        base["redistribution"] = args.redistribution
         base["tuning"] = args.tuning
         if args.wisdom is not None:
             base["wisdom_path"] = args.wisdom

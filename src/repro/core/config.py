@@ -102,23 +102,11 @@ class RunConfig:
     #: importable, or ``"native"`` (the repo's own mixed-radix kernels).
     #: Simulated timings never depend on this — only real payload math.
     fft_backend: str = "numpy"
-    #: Real cores driving each batched kernel call: 1 = single-threaded
-    #: (default).  ``N>1`` threads inside the library for backends that
-    #: support it (scipy/pyFFTW) or fans row chunks across the
-    #: shared-memory process pool (numpy/native); output is byte-identical
-    #: to ``kernel_workers=1`` for the pocketfft backends.
-    kernel_workers: int = 1
     #: Real-space decomposition over the R scatter ranks of each task
     #: group: ``"slab"`` (the paper's z-plane scheme, scaling-limited by
     #: ``nr3``) or ``"pencil"`` (a Pr x Pc processor grid with two
     #: row/column-internal transposes — see :mod:`repro.grids.pencil`).
     decomposition: str = "slab"
-    #: How redistribution payloads move: ``"packfree"`` (default; Alltoallw
-    #: block descriptors move strided source views straight into destination
-    #: slots, zero intermediate pack/unpack buffers) or ``"packed"`` (the
-    #: legacy staged Alltoall marshalling).  Simulated timings are identical;
-    #: the pack-free path saves host copies.
-    redistribution: str = "packfree"
     #: Autotuner mode (:mod:`repro.tuning`): ``"off"`` (default; zero
     #: overhead — the driver never imports the tuner), ``"consult"`` (look
     #: the workload digest up in the wisdom DB and apply the stored knob
@@ -160,16 +148,9 @@ class RunConfig:
                 f"{self.n_mpi_ranks} MPI ranks do not distribute evenly over "
                 f"{self.n_nodes} nodes"
             )
-        if self.kernel_workers < 1:
-            raise ValueError(f"kernel_workers must be >= 1, got {self.kernel_workers}")
         if self.decomposition not in ("slab", "pencil"):
             raise ValueError(
                 f"decomposition must be 'slab' or 'pencil', got {self.decomposition!r}"
-            )
-        if self.redistribution not in ("packed", "packfree"):
-            raise ValueError(
-                "redistribution must be 'packed' or 'packfree', "
-                f"got {self.redistribution!r}"
             )
         if self.tuning not in ("off", "consult", "search"):
             raise ValueError(

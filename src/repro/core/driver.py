@@ -34,7 +34,6 @@ import dataclasses
 import functools
 import time as _time
 import typing as _t
-import warnings
 
 import numpy as np
 
@@ -54,7 +53,6 @@ from repro.core.wave import (
     potential_block,
     potential_slab,
 )
-from repro.core.workspace import aggregate_stats, layout_workspaces, workspace_for
 from repro.faults.injector import FaultError, FaultInjector
 from repro.faults.plan import FaultScenario
 from repro.fft.backends.engine import KernelEngine
@@ -131,8 +129,8 @@ class RunResult:
     failed: bool = False
     #: Driver attempts simulated (1 = no resume was needed).
     n_attempts: int = 1
-    #: Data-plane arena statistics for this run (acquire/release deltas plus
-    #: resident-byte gauges), or ``None`` for meta mode / arena disabled.
+    #: Data-plane record of a data-mode run — decomposition, kernel backend,
+    #: kernel calls and rows — or ``None`` for meta mode.
     dataplane: dict | None = None
     #: Autotuner resolution record (mode, digest, hit, applied knobs,
     #: predicted vs. measured score), or ``None`` with ``tuning="off"``.
@@ -172,16 +170,10 @@ def run_fft_phase(
     potential: np.ndarray | None = None,
     telemetry: _telemetry.Telemetry | None = None,
     faults: FaultScenario | None = None,
-    use_workspace: bool = True,
     cancel: _t.Callable[[], bool] | None = None,
     deadline: float | None = None,
 ) -> RunResult:
     """Run one configuration to completion on a fresh simulated node.
-
-    ``use_workspace=False`` disables the data-plane buffer arena: every
-    marshalling buffer is allocated fresh, exactly as before the arena
-    existed.  Results are bit-identical either way (the identity tests rely
-    on this switch); the arena only changes allocation behaviour.
 
     ``input_coeffs`` (``(n_complex_bands, ngw)``) and ``potential``
     (``V[iz, ix, iy]``) override the generated data — this is how a caller
@@ -280,23 +272,12 @@ def run_fft_phase(
             task_observer = _fanout_task_observer(tel.tracer.on_task, task_observer)
 
     # The kernel engine: one per run, shared by every rank context, so the
-    # whole data plane runs on config.fft_backend with config.kernel_workers
-    # and plan caches warm across bands.  Meta-mode runs execute no kernels,
-    # so a config naming an uninstalled backend still simulates fine there.
+    # whole data plane runs on config.fft_backend and plan caches warm
+    # across bands.  Meta-mode runs execute no kernels, so a config naming
+    # an uninstalled backend still simulates fine there.
     kernel_engine: KernelEngine | None = None
     if config.data_mode:
-        kernel_engine = KernelEngine(config.fft_backend, workers=config.kernel_workers)
-
-    # Data-plane arenas: per-(layout, process) pools shared across runs of
-    # one workload.  Snapshot before the attempts loop so the run's manifest
-    # reports this run's deltas, not the layout-lifetime totals.
-    use_arena = config.data_mode and use_workspace
-    dataplane_before: dict[str, int] | None = None
-    if use_arena:
-        existing = layout_workspaces(layout)
-        for ws in existing.values():
-            ws.begin_run()
-        dataplane_before = aggregate_stats(existing.values())
+        kernel_engine = KernelEngine(config.fft_backend)
 
     # Checkpoint bookkeeping.  A "unit" is the executor's outer-loop step:
     # one iteration (original / pipelined / per-step) or one band (per-FFT /
@@ -458,11 +439,9 @@ def run_fft_phase(
                     scatter_comm=_scatter_comms[t],
                     packed=per_proc_packed[p] if per_proc_packed is not None else None,
                     v_slab=v_slabs[r] if v_slabs is not None else None,
-                    workspace=workspace_for(layout, p) if use_arena else None,
                     kernels=kernel_engine,
                     row_comm=row_comm,
                     col_comm=col_comm,
-                    redistribution=config.redistribution,
                 )
                 if completed_bands:
                     # Resumed attempt: restore the checkpointed state.
@@ -519,12 +498,17 @@ def run_fft_phase(
             )
 
         previous = _telemetry.install(tel) if tel is not None else None
+        first_span = len(tel.spans) if tel is not None else 0
         try:
             world.launch(program)
             attempt_time = world.run()
         except FaultError as err:
             assert injector is not None  # only injection raises FaultError
             attempt_time = sim.now
+            if tel is not None:
+                # The attempt's rank programs die suspended: close the spans
+                # they left open at the abort time, marked as killed.
+                tel.spans.close_open(attempt_time, start=first_span, status="killed")
             total_time += attempt_time
             units_done = _completed_units(contexts, n_units, unit_bands)
             for u in range(units_done):
@@ -560,29 +544,10 @@ def run_fft_phase(
         fault_report = injector.report.to_dict()
 
     dataplane: dict | None = None
-    if use_arena:
-        dataplane = _dataplane_summary(
-            dataplane_before or {},
-            aggregate_stats(layout_workspaces(layout).values()),
-        )
-        dataplane["decomposition"] = layout.decomposition
-        dataplane["redistribution"] = config.redistribution
-        dataplane["pack_copies"] = sum(
-            ctx.pack_copies for ctx in contexts.values()
-        )
-        if dataplane["workspace_leaks"] > 0:
-            warnings.warn(
-                f"run leaked {dataplane['workspace_leaks']} workspace "
-                "checkout(s): buffers were garbage-collected without a "
-                "release (arena bleed; harmless once, a drift under "
-                "sustained service traffic)",
-                ResourceWarning,
-                stacklevel=2,
-            )
-        if kernel_engine is not None:
-            # Kernel-plane counters ride the dataplane section (and thus the
-            # dataplane.* gauges): backend, workers, calls, rows, pool fan-outs.
-            dataplane.update(kernel_engine.stats())
+    if kernel_engine is not None:
+        # Kernel-plane counters ride the dataplane section (and thus the
+        # dataplane.* gauges): backend, calls, rows.
+        dataplane = {"decomposition": layout.decomposition, **kernel_engine.stats()}
 
     if tuning_info is not None:
         tuning_info["measured_s"] = total_time
@@ -612,34 +577,6 @@ def run_fft_phase(
         dataplane=dataplane,
         tuning=tuning_info,
     )
-
-
-#: Arena counters reported as per-run deltas; the rest are state gauges.
-_DATAPLANE_COUNTERS = (
-    "acquires",
-    "reuse_hits",
-    "alloc_misses",
-    "releases",
-    "foreign_releases",
-    "workspace_leaks",
-)
-_DATAPLANE_GAUGES = ("live", "live_peak", "pooled", "bytes_resident")
-
-
-def _dataplane_summary(before: dict, after: dict) -> dict:
-    """This run's arena activity: counter deltas + absolute byte gauges.
-
-    ``allocations_avoided`` is the headline number — pool hits that would
-    each have been an ``np.zeros``/``np.empty`` on the fresh-allocation
-    path.  Note the hit/miss split depends on arena warmth (a cold first
-    run misses where a warm rerun hits); the structural numbers (acquires,
-    releases, live_peak, bytes_resident) are warmth-invariant.
-    """
-    out = {k: int(after.get(k, 0)) - int(before.get(k, 0)) for k in _DATAPLANE_COUNTERS}
-    for k in _DATAPLANE_GAUGES:
-        out[k] = int(after.get(k, 0))
-    out["allocations_avoided"] = out["reuse_hits"]
-    return out
 
 
 def _completed_units(

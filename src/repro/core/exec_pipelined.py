@@ -28,14 +28,11 @@ from __future__ import annotations
 
 import typing as _t
 
-import numpy as np
-
 from repro import telemetry as _telemetry
-from repro.core import pack as pack_mod
 from repro.core import redistribute as redist_mod
-from repro.core import scatter as scatter_mod
 from repro.core.pipeline import (
     FftPhaseContext,
+    exchange,
     band_chain_steps,
     step_fft_xy,
     step_fft_z,
@@ -44,7 +41,6 @@ from repro.core.pipeline import (
     step_unpack,
     step_vofr,
 )
-from repro.mpisim.datatypes import MetaPayload
 
 __all__ = ["make_pipelined_program"]
 
@@ -58,54 +54,15 @@ def _stage_a(ctx: FftPhaseContext, bands, unit_key, thread=0):
 
 
 def _issue_scatter_fw(ctx: FftPhaseContext, group, key):
-    """Join the forward scatter without waiting; returns ``(event, recvbuf)``.
-
-    Pack-free (default): the Alltoallw recv buffer is acquired and
-    zero-filled *before* joining — the strided/indexed moves land in it
-    when the last member joins — and the event resolves to it; no staging
-    copy is made on either side.  Packed: the parts are views of ``group``
-    (``recvbuf`` is ``None``) and the caller assembles planes after the
-    wait.  Either way the caller must keep ``group`` checked out until the
-    event resolves.
-    """
-    if ctx.redistribution == "packfree":
-        plan = redist_mod.scatter_fw_plan(ctx.layout, ctx.r, ctx.data_mode)
-        recvbuf = ctx.recv_buffer("planes", plan)
-        sendbuf = None if group is None else np.ascontiguousarray(group)
-        ev = ctx.rank.alltoallw(
-            ctx.scatter_comm, sendbuf, recvbuf,
-            plan.send_blocks, plan.recv_blocks, key=key,
-        )
-        return ev, recvbuf
-    parts = scatter_mod.scatter_fw_parts(ctx.layout, ctx.r, group)
-    return ctx.rank.alltoall(ctx.scatter_comm, parts, key=key), None
+    """Join the forward scatter (stick block -> planes) without waiting."""
+    plan = redist_mod.scatter_fw_plan(ctx.layout, ctx.r, ctx.data_mode)
+    return exchange(ctx, ctx.scatter_comm, plan, group, key)
 
 
 def _issue_scatter_bw(ctx: FftPhaseContext, planes, key):
-    """Issue the backward exchange; returns ``(event, gather_buffer)``.
-
-    Pack-free: sends strided z-slabs of ``planes`` directly into the
-    pre-acquired stick-block recv buffer (the event resolves to it); no
-    gather staging, so ``gather_buffer`` is ``None``.  Packed: the gather
-    buffer backs the send parts (row slices), rides with the event, and is
-    released by the caller once the event resolves.
-    """
-    if ctx.redistribution == "packfree":
-        plan = redist_mod.scatter_bw_plan(ctx.layout, ctx.r, ctx.data_mode)
-        recvbuf = ctx.recv_buffer("stick_block", plan)
-        sendbuf = None if planes is None else np.ascontiguousarray(planes)
-        ev = ctx.rank.alltoallw(
-            ctx.scatter_comm, sendbuf, recvbuf,
-            plan.send_blocks, plan.recv_blocks, key=key,
-        )
-        return ev, None
-    gather = None
-    if planes is not None:
-        nsticks = int(ctx.layout.scatter_stick_offsets()[-1])
-        gather = ctx.acquire("sbw_gather", (nsticks, ctx.layout.npp(ctx.r)))
-        ctx.pack_copies += 1
-    parts = scatter_mod.scatter_bw_parts(ctx.layout, ctx.r, planes, out=gather)
-    return ctx.rank.alltoall(ctx.scatter_comm, parts, key=key), gather
+    """Join the backward scatter (planes -> stick block) without waiting."""
+    plan = redist_mod.scatter_bw_plan(ctx.layout, ctx.r, ctx.data_mode)
+    return exchange(ctx, ctx.scatter_comm, plan, planes, key)
 
 
 def make_pipelined_program(
@@ -159,10 +116,9 @@ def make_pipelined_program(
             with tel.spans.span(track, "prologue", "pipeline-step", clock):
                 group = yield from _stage_a(ctx, bands_of(first), key(first))
                 yield rank.compute("scatter_reorder", 0.5 * cost.scatter_marshal(ctx.r))
-            ev_fw, _ = _issue_scatter_fw(
+            ev_fw = _issue_scatter_fw(
                 ctx, group, (key(first), "sfw", bands_of(first)[ctx.t])
             )
-            fw_buf = group  # block backing ev_fw's in-flight send views
 
             next_group = None
             for it in range(start_iteration, n_iterations):
@@ -177,54 +133,27 @@ def make_pipelined_program(
                             ctx, bands_of(it + 1), key(it + 1)
                         )
 
-                    received = yield ev_fw
-                    ctx.release(fw_buf)
+                    # The event resolves to the receive buffer: the planes
+                    # arrived in place.
+                    planes = yield ev_fw
                     yield rank.compute("scatter_reorder", 0.5 * cost.scatter_marshal(ctx.r))
-                    if ctx.redistribution == "packfree":
-                        # The event resolved to the pre-acquired recv
-                        # buffer: the planes arrived in place.
-                        planes = received
-                    else:
-                        out = (
-                            ctx.acquire(
-                                "planes",
-                                (ctx.layout.npp(ctx.r), ctx.layout.desc.nr1, ctx.layout.desc.nr2),
-                            )
-                            if fw_buf is not None
-                            else None
-                        )
-                        if fw_buf is not None:
-                            ctx.pack_copies += 1
-                        planes = scatter_mod.assemble_planes(
-                            ctx.layout, ctx.r, received, out=out, workspace=ctx.workspace
-                        )
 
                     planes = yield from step_fft_xy(ctx, planes, +1)
                     planes = yield from step_vofr(ctx, planes)
                     planes = yield from step_fft_xy(ctx, planes, -1)
 
                     yield rank.compute("scatter_reorder", 0.5 * cost.scatter_marshal(ctx.r))
-                    ev_bw, bw_gather = _issue_scatter_bw(
-                        ctx, planes, (key(it), "sbw", my_band)
-                    )
+                    ev_bw = _issue_scatter_bw(ctx, planes, (key(it), "sbw", my_band))
                     if it + 1 < n_iterations:
                         yield rank.compute(
                             "scatter_reorder", 0.5 * cost.scatter_marshal(ctx.r)
                         )
-                        ev_fw, _ = _issue_scatter_fw(
+                        ev_fw = _issue_scatter_fw(
                             ctx, next_group, (key(it + 1), "sfw", bands_of(it + 1)[ctx.t])
                         )
-                        fw_buf = next_group
 
-                    received = yield ev_bw
-                    ctx.release(planes, bw_gather)
+                    group_back = yield ev_bw
                     yield rank.compute("scatter_reorder", 0.5 * cost.scatter_marshal(ctx.r))
-                    if ctx.redistribution == "packfree":
-                        # The stick block arrived in the pre-acquired recv
-                        # buffer the event resolved to.
-                        group_back = received
-                    else:
-                        group_back = _assemble_bw(ctx, received)
                     group_back = yield from step_fft_z(ctx, group_back, -1)
                     yield from step_unpack(
                         ctx, group_back, bands_of(it), key=(key(it), "unpack")
@@ -233,14 +162,3 @@ def make_pipelined_program(
 
     return program
 
-
-def _assemble_bw(ctx: FftPhaseContext, received):
-    if any(isinstance(b, MetaPayload) for b in received):
-        return None
-    ctx.pack_copies += 1
-    out = ctx.acquire(
-        "stick_block", (ctx.layout.nst_group(ctx.r), ctx.layout.desc.nr3)
-    )
-    return scatter_mod.assemble_group_block_from_planes(
-        ctx.layout, ctx.r, received, out=out
-    )

@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 import typing as _t
 
-import numpy as np
-
 from repro import telemetry as _telemetry
 from repro.core.pipeline import (
     FftPhaseContext,
@@ -69,10 +67,10 @@ def submit_unit_tasks(
     Every stage reads its predecessor's ``state`` slot and writes its own —
     never mutating in place — so a task execution that fault injection
     discards can re-run and produce the identical value (idempotent bodies
-    are what makes bounded re-execution safe).  Arena-backed intermediates
-    are popped and released in the MPI-bearing stage bodies (which the
-    fault layer never replays) once every reader of the block is finalized;
-    the remaining fresh intermediates stay alive until the program ends.
+    are what makes bounded re-execution safe).  The MPI-bearing stage
+    bodies (which the fault layer never replays) drop consumed blocks from
+    ``state`` once every reader of the block is finalized; the remaining
+    intermediates stay alive until the program ends.
     """
     state: dict[str, object] = {}
     my_band = bands[ctx.t]
@@ -140,9 +138,9 @@ def submit_unit_tasks(
             ctx, state.get("group_zfw"), key=(unit_key, "sfw", my_band), thread=worker.thread_index
         )
         # All readers of the pack block (the fft_z chunks) are finalized once
-        # this stage runs, and re-execution never replays MPI-bearing tasks —
-        # pop-then-release so even a hypothetical re-run releases nothing.
-        ctx.release(state.pop("group_g", None))
+        # this stage runs, and re-execution never replays MPI-bearing tasks,
+        # so the block can be dropped.
+        state.pop("group_g", None)
 
     def fft_xy_transform(src, dst, sign):
         def run():
@@ -163,7 +161,7 @@ def submit_unit_tasks(
         state["group_s"] = yield from step_scatter_bw(
             ctx, state.get("planes_xybw"), key=(unit_key, "sbw", my_band), thread=worker.thread_index
         )
-        ctx.release(state.pop("planes_fw", None))
+        state.pop("planes_fw", None)
 
     def unpack_body(worker):
         # Completion is marked when the unpack task *succeeds* (below), so a
@@ -176,26 +174,26 @@ def submit_unit_tasks(
             thread=worker.thread_index,
             mark_completed=False,
         )
-        ctx.release(state.pop("group_s", None))
+        state.pop("group_s", None)
 
     # -- pencil-decomposition stage bodies ------------------------------------
     # Same region discipline as the slab stages: the transpose (MPI-bearing)
-    # bodies pop-and-release the arena brick whose readers — the chunked FFT
-    # tasks of the previous stage — are all finalized by the time they run.
+    # bodies drop the brick whose readers — the chunked FFT tasks of the
+    # previous stage — are all finalized by the time they run.
 
     def tzy_fw_body(worker):
         state["ybrick_fw"] = yield from step_transpose_zy(
             ctx, state.get("group_zfw"), key=(unit_key, "tzy", my_band),
             thread=worker.thread_index,
         )
-        ctx.release(state.pop("group_g", None))
+        state.pop("group_g", None)
 
     def tyx_fw_body(worker):
         state["xbrick_fw"] = yield from step_transpose_yx(
             ctx, state.get("ybrick_yfw"), key=(unit_key, "tyx", my_band),
             thread=worker.thread_index,
         )
-        ctx.release(state.pop("ybrick_fw", None))
+        state.pop("ybrick_fw", None)
 
     def pencil_vofr_body(worker):
         state["xbrick_v"] = yield from step_pencil_vofr(
@@ -207,14 +205,14 @@ def submit_unit_tasks(
             ctx, state.get("xbrick_xbw"), key=(unit_key, "txy", my_band),
             thread=worker.thread_index, inverse=True,
         )
-        ctx.release(state.pop("xbrick_fw", None))
+        state.pop("xbrick_fw", None)
 
     def tzy_bw_body(worker):
         state["group_s"] = yield from step_transpose_zy(
             ctx, state.get("ybrick_ybw"), key=(unit_key, "tyz", my_band),
             thread=worker.thread_index, inverse=True,
         )
-        ctx.release(state.pop("ybrick_bw", None))
+        state.pop("ybrick_bw", None)
 
     def fft_brick_transform(src, dst, sign):
         def run():
@@ -223,7 +221,7 @@ def submit_unit_tasks(
                 state[dst] = brick
             else:
                 n = brick.shape[-1]
-                out = np.empty(brick.shape, dtype=np.complex128)
+                out = ctx.acquire(brick.shape)
                 ctx.kernels.cft_1z(
                     brick.reshape(-1, n), sign, out=out.reshape(-1, n)
                 )

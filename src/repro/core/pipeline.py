@@ -11,8 +11,10 @@ Each step charges its compute phase on the machine model (the phase name
 selects the contention profile of :mod:`repro.machine.knl`) and, where the
 paper's kernel communicates, performs the simulated MPI collective — with
 real payloads in data mode, sizes only in meta mode.  Data transformations
-are delegated to :mod:`~repro.core.wave`, :mod:`~repro.core.pack`,
-:mod:`~repro.core.scatter` and :mod:`~repro.core.vofr`, so the numerics are
+are delegated to :mod:`~repro.core.wave` and :mod:`~repro.core.vofr`, and
+every exchange is one pack-free ``MPI_Alltoallw`` over the block plans of
+:mod:`~repro.core.redistribute`, moving elements straight from the source
+buffer into a freshly allocated receive buffer — so the numerics are
 identical no matter which executor (or scheduler order) drives the steps.
 
 Instruction budgets come from :class:`CostModel`: FFT steps use the standard
@@ -29,15 +31,12 @@ import typing as _t
 
 import numpy as np
 
-from repro.core import pack as pack_mod
 from repro.core import redistribute as redist_mod
-from repro.core import scatter as scatter_mod
 from repro.core import wave as wave_mod
 from repro.core.vofr import apply_potential
 from repro.core.wave import extract_from_sticks
 from repro.fft.backends.engine import default_engine
 from repro.grids.descriptor import DistributedLayout
-from repro.mpisim.datatypes import MetaPayload
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.communicator import Communicator
@@ -221,27 +220,16 @@ class FftPhaseContext:
         Output coefficients per band (filled by the unpack step).
     v_slab:
         This scatter rank's potential planes (``None`` in meta mode).
-    workspace:
-        This rank's data-plane buffer arena
-        (:class:`~repro.core.workspace.Workspace`), or ``None`` to allocate
-        every marshalling buffer fresh.  Results are bit-identical either
-        way; the arena only recycles storage.
     kernels:
         The run's :class:`~repro.fft.backends.engine.KernelEngine` — every
         batched FFT the steps execute goes through it, which is what makes
-        ``RunConfig.fft_backend`` / ``kernel_workers`` take effect.  When
-        ``None`` the process-wide single-threaded default-backend engine is
-        used.
+        ``RunConfig.fft_backend`` take effect.  When ``None`` the
+        process-wide default-backend engine is used.
     row_comm / col_comm:
         The pencil transpose communicators (row-internal z<->y over Pc
         ranks, column-internal y<->x over Pr ranks); ``None`` for the slab
         decomposition.  In pencil mode ``v_slab`` holds the x-brick
         potential block instead of the plane slab.
-    redistribution:
-        ``"packfree"`` routes every exchange through the Alltoallw block
-        plans of :mod:`~repro.core.redistribute` (zero staging copies);
-        ``"packed"`` keeps the legacy staged marshalling.  Identical
-        results and identical simulated timings either way.
     """
 
     def __init__(
@@ -253,11 +241,9 @@ class FftPhaseContext:
         scatter_comm: "Communicator",
         packed: np.ndarray | None,
         v_slab: np.ndarray | None,
-        workspace=None,
         kernels=None,
         row_comm: "Communicator | None" = None,
         col_comm: "Communicator | None" = None,
-        redistribution: str = "packfree",
     ):
         self.rank = rank
         self.layout = layout
@@ -266,18 +252,11 @@ class FftPhaseContext:
         self.scatter_comm = scatter_comm
         self.packed = packed
         self.v_slab = v_slab
-        self.workspace = workspace
         if kernels is None:
             kernels = default_engine()
         self.kernels = kernels
         self.row_comm = row_comm
         self.col_comm = col_comm
-        if redistribution not in ("packed", "packfree"):
-            raise ValueError(f"unknown redistribution {redistribution!r}")
-        self.redistribution = redistribution
-        #: Staging (pack/unpack) buffer passes performed by this rank's
-        #: exchanges, data mode only — pinned to zero on the pack-free path.
-        self.pack_copies = 0
         self.results: dict[int, np.ndarray] = {}
         #: Bands whose full chain finished on this rank (filled by the
         #: unpack step, both modes) — the driver's checkpoint granularity.
@@ -296,45 +275,27 @@ class FftPhaseContext:
             return None
         return self.packed[band]
 
-    # -- arena helpers --------------------------------------------------------
-    #
-    # Buffer-release discipline (why releasing mid-chain is safe):
-    #
-    # * The simulated collective *copies* every ndarray payload when the
-    #   last member joins (``payload_like``), so once a rank's ``yield
-    #   alltoall`` resumes its send buffers are free to recycle.
-    # * Fault-injected task re-execution replays only communication-free
-    #   tasks (``Task.did_mpi`` exemption), immediately and from their
-    #   original (still checked-out or non-arena) inputs, so a replay never
-    #   reads a buffer its own discarded execution released downstream.
-    # * A generator killed mid-chain (attempt abort) leaks its checkouts;
-    #   the arena tracks them weakly and tolerates the loss.
+    # -- buffers --------------------------------------------------------------
 
-    def acquire(self, kind: str, shape: tuple) -> np.ndarray | None:
-        """An arena buffer of the given kind/shape, or ``None`` without an
-        arena (callees then allocate fresh — identical results)."""
-        if self.workspace is None:
-            return None
-        return self.workspace.acquire(kind, shape)
+    def acquire(self, shape: tuple) -> np.ndarray:
+        """A fresh, uninitialized ``complex128`` buffer of ``shape``.
+
+        The one allocator of the data plane: every receive buffer and every
+        pencil-FFT output comes from here.
+        """
+        return np.empty(shape, dtype=np.complex128)
 
     def release(self, *buffers) -> None:
-        """Return arena buffers; ``None``/foreign/double releases are ignored."""
-        if self.workspace is not None:
-            self.workspace.release(*buffers)
+        """No-op, kept only so external instrumentation that wraps it still
+        resolves; buffers are fresh and freed by reference counting."""
 
-    def recv_buffer(self, kind: str, plan) -> np.ndarray | None:
+    def recv_buffer(self, plan) -> np.ndarray | None:
         """The receive buffer of a pack-free exchange plan (``None`` in meta
         mode).  Zero-filled when the plan's incoming blocks cover the buffer
         only sparsely; otherwise left uninitialized (fully overwritten)."""
         if not self.data_mode:
             return None
-        buf = self.acquire(kind, plan.recv_shape)
-        if buf is None:
-            return (
-                np.zeros(plan.recv_shape, dtype=np.complex128)
-                if plan.zero_fill
-                else np.empty(plan.recv_shape, dtype=np.complex128)
-            )
+        buf = self.acquire(plan.recv_shape)
         if plan.zero_fill:
             buf.fill(0)
         return buf
@@ -365,7 +326,24 @@ def step_prepare(ctx: FftPhaseContext, bands: _t.Sequence[int], thread: int = 0)
     return [ctx.packed[band] for band in bands]
 
 
-def step_pack(ctx: FftPhaseContext, band_coeffs: list | None, key: object, thread: int = 0):
+def exchange(ctx: FftPhaseContext, comm, plan, sendbuf, key: object, thread: int = 0):
+    """Join the pack-free Alltoallw of ``plan``; returns its event.
+
+    The receive buffer is allocated (zero-filled where the plan needs it)
+    before joining, the elements land in it when the last member joins,
+    and the event resolves to it (to ``None`` in meta mode).
+    """
+    if sendbuf is not None:
+        # No-op for the common contiguous case; backends whose transform
+        # hands back a strided view get one normalizing copy here.
+        sendbuf = np.ascontiguousarray(sendbuf)
+    return ctx.rank.alltoallw(
+        comm, sendbuf, ctx.recv_buffer(plan), plan.send_blocks, plan.recv_blocks,
+        key=key, thread=thread,
+    )
+
+
+def step_pack(ctx: FftPhaseContext, band_coeffs, key: object, thread: int = 0):
     """Pack Alltoallv + expansion: this rank ends up with band ``t`` on its
     group sticks.
 
@@ -378,78 +356,26 @@ def step_pack(ctx: FftPhaseContext, band_coeffs: list | None, key: object, threa
         yield ctx.rank.compute("prepare_psis", ctx.cost.pack_expand(ctx.r), thread=thread)
         if band_coeffs is None:
             return None
-        out = ctx.acquire(
-            "stick_block", (len(layout.sticks_of(ctx.p)), layout.desc.nr3)
-        )
-        return wave_mod.expand_to_sticks(layout, ctx.p, band_coeffs[0], out=out)
-    if ctx.redistribution == "packfree":
-        plan = redist_mod.pack_fw_plan(layout, ctx.p, ctx.data_mode)
-        sendbuf = None
-        if band_coeffs is not None:
-            sendbuf = np.ascontiguousarray(band_coeffs)
-        recvbuf = ctx.recv_buffer("stick_block", plan)
-        yield ctx.rank.alltoallw(
-            ctx.pack_comm, sendbuf, recvbuf,
-            plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-        )
-        yield ctx.rank.compute("pack_sticks", ctx.cost.pack_expand(ctx.r), thread=thread)
-        return recvbuf
-    parts = pack_mod.pack_parts(layout, ctx.p, band_coeffs)
-    received = yield ctx.rank.alltoall(ctx.pack_comm, parts, key=key, thread=thread)
+        return wave_mod.expand_to_sticks(layout, ctx.p, band_coeffs[0])
+    plan = redist_mod.pack_fw_plan(layout, ctx.p, ctx.data_mode)
+    group = yield exchange(ctx, ctx.pack_comm, plan, band_coeffs, key, thread)
     yield ctx.rank.compute("pack_sticks", ctx.cost.pack_expand(ctx.r), thread=thread)
-    if any(isinstance(b, MetaPayload) for b in received):
-        return None
-    ctx.pack_copies += 1
-    out = ctx.acquire("stick_block", (layout.nst_group(ctx.r), layout.desc.nr3))
-    return wave_mod.expand_group_block(
-        layout, ctx.r, received, out=out, workspace=ctx.workspace
-    )
+    return group
 
 
 def step_fft_z(ctx: FftPhaseContext, group_block, sign: int, thread: int = 0):
-    """Batched 1D transforms along z of the group sticks.
-
-    The transform writes into an arena block and releases the consumed
-    input (a no-op for fresh/foreign inputs).
-    """
+    """Batched 1D transforms along z of the group sticks."""
     yield ctx.rank.compute("fft_z", ctx.cost.fft_z(ctx.r), thread=thread)
     if group_block is None:
         return None
-    out = ctx.acquire("stick_block", group_block.shape)
-    result = ctx.kernels.cft_1z(group_block, sign, out=out)
-    ctx.release(group_block)
-    return result
+    return ctx.kernels.cft_1z(group_block, sign)
 
 
 def step_scatter_fw(ctx: FftPhaseContext, group_block, key: object, thread: int = 0):
     """Forward scatter: sticks -> planes within the scatter group."""
     yield ctx.rank.compute("scatter_reorder", ctx.cost.scatter_marshal(ctx.r), thread=thread)
-    if ctx.redistribution == "packfree":
-        plan = redist_mod.scatter_fw_plan(ctx.layout, ctx.r, ctx.data_mode)
-        recvbuf = ctx.recv_buffer("planes", plan)
-        sendbuf = None if group_block is None else np.ascontiguousarray(group_block)
-        yield ctx.rank.alltoallw(
-            ctx.scatter_comm, sendbuf, recvbuf,
-            plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-        )
-        # The resumed yield means the exchange executed (elements moved
-        # straight from the stick block into every peer's planes), so the
-        # block is free to recycle.
-        ctx.release(group_block)
-        return recvbuf
-    parts = scatter_mod.scatter_fw_parts(ctx.layout, ctx.r, group_block)
-    received = yield ctx.rank.alltoall(ctx.scatter_comm, parts, key=key, thread=thread)
-    # The resumed yield means the collective executed and copied the send
-    # views, so the stick block is free to recycle.
-    ctx.release(group_block)
-    desc = ctx.layout.desc
-    out = None
-    if group_block is not None:
-        ctx.pack_copies += 1
-        out = ctx.acquire("planes", (ctx.layout.npp(ctx.r), desc.nr1, desc.nr2))
-    return scatter_mod.assemble_planes(
-        ctx.layout, ctx.r, received, out=out, workspace=ctx.workspace
-    )
+    plan = redist_mod.scatter_fw_plan(ctx.layout, ctx.r, ctx.data_mode)
+    return (yield exchange(ctx, ctx.scatter_comm, plan, group_block, key, thread))
 
 
 def step_fft_xy(ctx: FftPhaseContext, planes, sign: int, thread: int = 0):
@@ -457,9 +383,7 @@ def step_fft_xy(ctx: FftPhaseContext, planes, sign: int, thread: int = 0):
     yield ctx.rank.compute("fft_xy", ctx.cost.fft_xy(ctx.r), thread=thread)
     if planes is None:
         return None
-    result = ctx.kernels.cft_2xy(planes, sign)
-    ctx.release(planes)
-    return result
+    return ctx.kernels.cft_2xy(planes, sign)
 
 
 def step_vofr(ctx: FftPhaseContext, planes, thread: int = 0):
@@ -473,35 +397,8 @@ def step_vofr(ctx: FftPhaseContext, planes, thread: int = 0):
 def step_scatter_bw(ctx: FftPhaseContext, planes, key: object, thread: int = 0):
     """Backward scatter: planes -> sticks within the scatter group."""
     yield ctx.rank.compute("scatter_reorder", ctx.cost.scatter_marshal(ctx.r), thread=thread)
-    layout = ctx.layout
-    if ctx.redistribution == "packfree":
-        plan = redist_mod.scatter_bw_plan(layout, ctx.r, ctx.data_mode)
-        recvbuf = ctx.recv_buffer("stick_block", plan)
-        # No-op for the common contiguous case; backends whose xy transform
-        # hands back a strided view get one normalizing copy here.
-        sendbuf = None if planes is None else np.ascontiguousarray(planes)
-        yield ctx.rank.alltoallw(
-            ctx.scatter_comm, sendbuf, recvbuf,
-            plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-        )
-        ctx.release(planes)
-        return recvbuf
-    gather = None
-    if planes is not None:
-        ctx.pack_copies += 1
-        nsticks = int(layout.scatter_stick_offsets()[-1])
-        gather = ctx.acquire("sbw_gather", (nsticks, layout.npp(ctx.r)))
-    parts = scatter_mod.scatter_bw_parts(layout, ctx.r, planes, out=gather)
-    received = yield ctx.rank.alltoall(ctx.scatter_comm, parts, key=key, thread=thread)
-    ctx.release(planes, gather)
-    out = (
-        ctx.acquire("stick_block", (layout.nst_group(ctx.r), layout.desc.nr3))
-        if planes is not None
-        else None
-    )
-    return scatter_mod.assemble_group_block_from_planes(
-        layout, ctx.r, received, out=out
-    )
+    plan = redist_mod.scatter_bw_plan(ctx.layout, ctx.r, ctx.data_mode)
+    return (yield exchange(ctx, ctx.scatter_comm, plan, planes, key, thread))
 
 
 def step_unpack(
@@ -514,10 +411,9 @@ def step_unpack(
 ):
     """Extraction + unpack Alltoallv; stores per-band results.
 
-    With task groups on, this rank extracts band ``t``'s coefficients from
-    its group block (one share per member) and the Alltoallv returns every
-    member its own-sticks share of every band; with task groups off the
-    extraction is purely local.
+    With task groups on, the Alltoallv returns every pack-group member its
+    own-sticks share of every band straight from the group block; with
+    task groups off the extraction is purely local.
 
     ``mark_completed=False`` leaves ``ctx.completed`` untouched — the task
     executors defer the marking to task *success*, so an execution that
@@ -525,49 +421,14 @@ def step_unpack(
     """
     if ctx.pack_comm is not None:
         yield ctx.rank.compute("unpack_sticks", ctx.cost.unpack_extract(ctx.r), thread=thread)
-        if ctx.redistribution == "packfree":
-            plan = redist_mod.pack_bw_plan(ctx.layout, ctx.p, ctx.data_mode)
-            # Fresh (non-arena) receive rows: the per-band results outlive
-            # the run, so they must not return to the buffer pool.
-            recvbuf = (
-                np.empty(plan.recv_shape, dtype=np.complex128)
-                if group_block is not None
-                else None
-            )
-            sendbuf = (
-                None if group_block is None else np.ascontiguousarray(group_block)
-            )
-            yield ctx.rank.alltoallw(
-                ctx.pack_comm, sendbuf, recvbuf,
-                plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-            )
-            ctx.release(group_block)
-            yield ctx.rank.compute("unpack_sticks", ctx.cost.unpack(ctx.p) * len(bands), thread=thread)
-            if mark_completed:
-                ctx.completed.update(bands)
-            if recvbuf is not None:
-                for t, band in enumerate(bands):
-                    ctx.results[band] = recvbuf[t]
-            return None
-        gather = None
-        member_coeffs = None
-        if group_block is not None:
-            ctx.pack_copies += 1
-            ngw_group = int(ctx.layout.group_coeff_offsets(ctx.r)[-1])
-            gather = ctx.acquire("coeff_gather", (ngw_group,))
-            member_coeffs = wave_mod.extract_group_coefficients(
-                ctx.layout, ctx.r, group_block, out=gather
-            )
-        parts = pack_mod.unpack_parts(ctx.layout, ctx.r, member_coeffs)
-        received = yield ctx.rank.alltoall(ctx.pack_comm, parts, key=key, thread=thread)
-        ctx.release(group_block, gather)
+        plan = redist_mod.pack_bw_plan(ctx.layout, ctx.p, ctx.data_mode)
+        rows = yield exchange(ctx, ctx.pack_comm, plan, group_block, key, thread)
         yield ctx.rank.compute("unpack_sticks", ctx.cost.unpack(ctx.p) * len(bands), thread=thread)
         if mark_completed:
             ctx.completed.update(bands)
-        if any(isinstance(b, MetaPayload) for b in received):
-            return None
-        for band, coeffs in zip(bands, received):
-            ctx.results[band] = coeffs
+        if rows is not None:
+            for t, band in enumerate(bands):
+                ctx.results[band] = rows[t]
         return None
 
     yield ctx.rank.compute("unpack_sticks", ctx.cost.unpack(ctx.p) * len(bands), thread=thread)
@@ -575,11 +436,7 @@ def step_unpack(
         ctx.completed.update(bands)
     if group_block is None:
         return None
-    # The gather owns fresh storage, so the consumed block can be recycled.
-    # (In the task executors this path's input is a fresh array — the arena
-    # block release matters for the linear executors and per-band chains.)
     ctx.results[bands[0]] = extract_from_sticks(ctx.layout, ctx.p, group_block)
-    ctx.release(group_block)
     return None
 
 
@@ -590,20 +447,13 @@ def step_transpose_zy(
 
     Forward consumes the stick block and yields the zero-filled
     ``(nx_i, nz_j, nr2)`` y-brick; ``inverse=True`` swaps roles (the stick
-    block comes back fully covered).  Always pack-free (Alltoallw).
+    block comes back fully covered).
     """
     yield ctx.rank.compute(
         "scatter_reorder", ctx.cost.pencil_zy_marshal(ctx.r), thread=thread
     )
     plan = redist_mod.pencil_zy_plan(ctx.layout, ctx.r, ctx.data_mode, inverse=inverse)
-    recvbuf = ctx.recv_buffer("stick_block" if inverse else "ybrick", plan)
-    sendbuf = None if block is None else np.ascontiguousarray(block)
-    yield ctx.rank.alltoallw(
-        ctx.row_comm, sendbuf, recvbuf,
-        plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-    )
-    ctx.release(block)
-    return recvbuf
+    return (yield exchange(ctx, ctx.row_comm, plan, block, key, thread))
 
 
 def step_transpose_yx(
@@ -614,14 +464,7 @@ def step_transpose_yx(
         "scatter_reorder", ctx.cost.pencil_yx_marshal(ctx.r), thread=thread
     )
     plan = redist_mod.pencil_yx_plan(ctx.layout, ctx.r, ctx.data_mode, inverse=inverse)
-    recvbuf = ctx.recv_buffer("ybrick" if inverse else "xbrick", plan)
-    sendbuf = None if block is None else np.ascontiguousarray(block)
-    yield ctx.rank.alltoallw(
-        ctx.col_comm, sendbuf, recvbuf,
-        plan.send_blocks, plan.recv_blocks, key=key, thread=thread,
-    )
-    ctx.release(block)
-    return recvbuf
+    return (yield exchange(ctx, ctx.col_comm, plan, block, key, thread))
 
 
 def step_fft_pencil(
@@ -637,13 +480,9 @@ def step_fft_pencil(
     yield ctx.rank.compute("fft_z", cost, thread=thread)
     if brick is None:
         return None
-    kind = "ybrick" if axis == "y" else "xbrick"
-    out = ctx.acquire(kind, brick.shape)
-    if out is None:
-        out = np.empty(brick.shape, dtype=np.complex128)
+    out = ctx.acquire(brick.shape)
     n = brick.shape[-1]
     ctx.kernels.cft_1z(brick.reshape(-1, n), sign, out=out.reshape(-1, n))
-    ctx.release(brick)
     return out
 
 

@@ -1,18 +1,16 @@
 """Pack-free redistribution plans: Alltoallw block descriptors per layout.
 
-The legacy data plane marshals every exchange through staging buffers —
-per-peer slab extraction, a packed Alltoall, then an assembly pass on the
-receive side.  The plans here describe the *same* exchanges as per-peer
-:class:`~repro.mpisim.datatypes.BlockType` descriptors into the flat source
-and destination buffers, so the simulated ``MPI_Alltoallw`` moves each
-element exactly once, straight from its source view into its destination
-slot.  Steady-state slab traffic then performs **zero** pack/unpack copies
-(the ``dataplane.pack_copies`` counter pins this).
+Every exchange of the data plane is one simulated ``MPI_Alltoallw`` over
+per-peer :class:`~repro.mpisim.datatypes.BlockType` descriptors into the
+flat source and destination buffers, so each element moves exactly once,
+straight from its source view into its destination slot — no per-peer
+staging, no packed intermediate and no assembly pass on the receive side
+(the Dalcin/Mortensen design of derived-datatype transposes).
 
-Descriptor volumes are arranged to equal the legacy packed part sizes
-byte-for-byte, and the simulated collective prices per-peer bytes the same
-way for both ops — so switching a run between ``redistribution="packed"``
-and ``"packfree"`` changes *host* work only, never the simulated timeline.
+Descriptor volumes equal the per-peer bytes of the staged marshalling that
+QE performs (kept as a test oracle in ``tests/core/packed_oracle.py``,
+which pins every plan's moves against it), so the simulated collective
+prices each exchange exactly as the paper's kernel pays for it.
 
 Four slab plans (forward/backward of each MPI layer) and two pencil
 transposes (plus inverses) cover the data plane:
@@ -27,9 +25,8 @@ transposes (plus inverses) cover the data plane:
   (row-internal over Pc ranks, column-internal over Pr ranks); an inverse
   plan is its forward plan with send/recv roles swapped.
 
-Plans are built once per (layout, endpoint, mode) and cached on the layout
-(like the workspace arenas), so descriptor construction never rides the
-steady-state path.
+Plans are built once per (layout, endpoint, mode) and cached on the layout,
+so descriptor construction never rides the steady-state path.
 """
 
 from __future__ import annotations
@@ -108,7 +105,7 @@ def pack_fw_plan(layout: DistributedLayout, p: int, data_mode: bool) -> Exchange
     ``prepare``; row ``t'`` goes whole to member ``t'``.  Receive side is
     the zero-filled ``(nst_group(r), nr3)`` group stick block; member
     ``t''``'s coefficients land at its segment of the cached group flat
-    index map — the scatter-write ``expand_group_block`` used to stage.
+    index map.
     """
     return _cached(layout, ("pack_fw", p, data_mode), lambda: _build_pack(layout, p, data_mode))
 

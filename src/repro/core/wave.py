@@ -8,6 +8,8 @@ contiguous-by-G subset belonging to its sticks.
 The helpers here are the *data-mode* halves of the pipeline steps: expanding
 packed coefficients into stick columns (``prepare_psis``), extracting them
 back (``unpack``), and building the real-space potential slabs for VOFR.
+With task groups on, the group-level expansion and extraction are the
+pack-free exchanges of :mod:`repro.core.redistribute` instead.
 All are deterministic functions of the config seed, so every executor sees
 identical inputs and must produce identical outputs.
 """
@@ -25,8 +27,6 @@ __all__ = [
     "distribute_coefficients",
     "expand_to_sticks",
     "extract_from_sticks",
-    "expand_group_block",
-    "extract_group_coefficients",
     "potential_slab",
     "potential_block",
 ]
@@ -77,15 +77,11 @@ def distribute_coefficients(
     return out
 
 
-def expand_to_sticks(
-    layout: DistributedLayout, p: int, packed: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def expand_to_sticks(layout: DistributedLayout, p: int, packed: np.ndarray) -> np.ndarray:
     """``prepare_psis``: scatter packed coefficients into stick columns.
 
     ``packed`` is ``(ngw_of(p),)``; the result is ``(nst_p, nr3)`` with
-    zeros outside the sphere.  ``out``, when given, is the (arena-owned)
-    destination block — fully overwritten, returned in place of a fresh
-    allocation, bit-identical either way.
+    zeros outside the sphere.
     """
     flat = layout.local_flat_index(p)
     if packed.shape != flat.shape:
@@ -93,12 +89,7 @@ def expand_to_sticks(
             f"packed coefficients have {packed.shape[0] if packed.ndim else 0} "
             f"entries; process {p} owns {len(flat)} G-vectors"
         )
-    shape = (len(layout.sticks_of(p)), layout.desc.nr3)
-    if out is None:
-        block = np.zeros(shape, dtype=np.complex128)
-    else:
-        block = out
-        block.fill(0)
+    block = np.zeros((len(layout.sticks_of(p)), layout.desc.nr3), dtype=np.complex128)
     block.reshape(-1)[flat] = packed
     return block
 
@@ -111,74 +102,6 @@ def extract_from_sticks(
     if block.shape != expected:
         raise ValueError(f"stick block shape {block.shape}; expected {expected}")
     return np.take(block.reshape(-1), layout.local_flat_index(p))
-
-
-def expand_group_block(
-    layout: DistributedLayout,
-    r: int,
-    member_coeffs: list,
-    out: np.ndarray | None = None,
-    workspace=None,
-) -> np.ndarray:
-    """Expand the pack group's received coefficients into the group stick block.
-
-    ``member_coeffs[t]`` holds one band's packed coefficients on member
-    ``t``'s sticks (what the pack Alltoallv delivered); each member's values
-    land in its segment of the concatenated group buffer, at its own
-    (stick, z) positions.  Result: ``(nst_group(r), nr3)``.
-
-    The members' values are concatenated (into ``workspace`` staging when
-    available) and written with one fancy put over the group's cached flat
-    index map — the batched form of the old per-member scatter-write loop,
-    touching exactly the same positions with the same values.
-    """
-    offsets = layout.group_coeff_offsets(r)
-    for t, coeffs in enumerate(member_coeffs):
-        ngw_t = int(offsets[t + 1] - offsets[t])
-        if coeffs.shape != (ngw_t,):
-            raise ValueError(
-                f"member {t} of group {r} sent {coeffs.shape} coefficients; "
-                f"owns {ngw_t} G-vectors"
-            )
-    shape = (layout.nst_group(r), layout.desc.nr3)
-    if out is None:
-        block = np.zeros(shape, dtype=np.complex128)
-    else:
-        block = out
-        block.fill(0)
-    ngw_group = int(offsets[-1])
-    stage = (
-        workspace.acquire("coeff_stage", (ngw_group,))
-        if workspace is not None
-        else np.empty(ngw_group, dtype=np.complex128)
-    )
-    np.concatenate(member_coeffs, out=stage)
-    block.reshape(-1)[layout.group_flat_index(r)] = stage
-    if workspace is not None:
-        workspace.release(stage)
-    return block
-
-
-def extract_group_coefficients(
-    layout: DistributedLayout, r: int, block: np.ndarray, out: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """Inverse of :func:`expand_group_block`: per-member packed coefficients.
-
-    One vectorized take over the cached flat index map gathers all members'
-    coefficients at once; the returned per-member arrays are contiguous row
-    slices of that gather (of ``out`` when given — the caller then owns the
-    backing buffer and its lifetime).
-    """
-    expected = (layout.nst_group(r), layout.desc.nr3)
-    if block.shape != expected:
-        raise ValueError(f"group block shape {block.shape}; expected {expected}")
-    # mode="clip" skips numpy's bounds-check buffering of the out array; the
-    # cached index map is in range by construction, so values are identical.
-    gathered = np.take(block.reshape(-1), layout.group_flat_index(r), out=out, mode="clip")
-    offsets = layout.group_coeff_offsets(r)
-    return [
-        gathered[int(offsets[t]) : int(offsets[t + 1])] for t in range(layout.T)
-    ]
 
 
 def potential_slab(layout: DistributedLayout, r: int, potential: np.ndarray) -> np.ndarray:

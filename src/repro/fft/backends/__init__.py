@@ -1,4 +1,4 @@
-"""Pluggable FFT backend plane (PR 8).
+"""Pluggable FFT backend plane.
 
 Public surface:
 
@@ -9,9 +9,7 @@ Public surface:
   ``available_backends`` / ``backend_info`` — discovery (numpy default,
   scipy/pyFFTW auto-detected, native mixed-radix).
 * :class:`~repro.fft.backends.engine.KernelEngine` — the per-run facade
-  the executors call, with plan caching and multicore fan-out.
-* :class:`~repro.fft.backends.pool.KernelPool` — shared-memory process
-  pool behind ``kernel_workers>1`` for backends without internal threads.
+  the executors call, with plan caching; every call runs single-threaded.
 
 Every backend is held numerically equivalent to the pocketfft reference by
 ``tests/fft/test_backend_conformance.py``.
@@ -27,7 +25,6 @@ from repro.fft.backends.base import (
     PlanSpec,
 )
 from repro.fft.backends.engine import KernelEngine, default_engine
-from repro.fft.backends.pool import KernelPool, KernelPoolError, shared_pool
 from repro.fft.backends.registry import (
     DEFAULT_BACKEND,
     available_backends,
@@ -47,9 +44,6 @@ __all__ = [
     "PlanSpec",
     "KernelEngine",
     "default_engine",
-    "KernelPool",
-    "KernelPoolError",
-    "shared_pool",
     "DEFAULT_BACKEND",
     "available_backends",
     "backend_info",

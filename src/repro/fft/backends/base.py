@@ -2,7 +2,7 @@
 
 A *backend* turns a :class:`PlanSpec` — transform kind, batched shape,
 dtype, memory layout — into an *executable*: a callable
-``exe(x, sign, out=None, workers=None)`` that runs the batched transform in
+``exe(x, sign, out=None)`` that runs the batched transform in
 Quantum ESPRESSO's conventions (the same conventions as
 :func:`repro.fft.batched.cft_1z` / :func:`~repro.fft.batched.cft_2xy`):
 
@@ -159,8 +159,7 @@ def deliver(res: np.ndarray, out: np.ndarray | None, dtype: np.dtype) -> np.ndar
     """Finish one executable call: cast to the spec dtype, honour ``out``.
 
     The result is always *computed* first and then copied — so the values a
-    caller receives are bit-identical whether or not it supplied ``out``
-    (the contract the data plane's arena identity tests rely on).
+    caller receives are bit-identical whether or not it supplied ``out``.
     """
     res = np.asarray(res)
     if res.dtype != dtype:
@@ -176,10 +175,6 @@ class FftBackend(abc.ABC):
 
     #: Registry name (also the ``RunConfig.fft_backend`` value selecting it).
     name: str = "?"
-    #: Whether the backend's executables accept a ``workers=N`` argument
-    #: that runs the batch on N threads *inside* the library.  When false,
-    #: the engine's multicore mode uses the shared-memory process pool.
-    supports_workers: bool = False
 
     @abc.abstractmethod
     def availability(self) -> tuple[bool, str]:
@@ -190,7 +185,7 @@ class FftBackend(abc.ABC):
         """Build the AoS executable for a (validated, available) spec."""
 
     def plan(self, kind: str, shape: tuple, dtype=np.complex128, layout: str = "aos"):
-        """An executable ``exe(x, sign, out=None, workers=None)`` for the spec.
+        """An executable ``exe(x, sign, out=None)`` for the spec.
 
         Raises :class:`BackendUnavailableError` when the backing library is
         not importable here, and ``ValueError`` for malformed specs.
@@ -217,5 +212,4 @@ class FftBackend(abc.ABC):
             "note": note,
             "kinds": list(KINDS),
             "layouts": list(LAYOUTS),
-            "supports_workers": self.supports_workers,
         }

@@ -1,21 +1,13 @@
 """The kernel engine: what the data plane actually calls.
 
-One :class:`KernelEngine` is built per run from ``RunConfig.fft_backend``
-and ``RunConfig.kernel_workers``; the pipeline's FFT steps call its
-:meth:`cft_1z` / :meth:`cft_2xy` / :meth:`rfft` instead of importing the
-kernels directly.  The engine caches backend executables per
-``(kind, shape, dtype, layout)`` — band after band hits a ready plan —
-and decides how a call goes multicore:
-
-* ``workers == 1``: plain single-threaded executable (the default; output
-  byte-identical to the pre-backend-plane data plane with
-  ``fft_backend="native"``, and to plain ``np.fft`` with ``"numpy"``).
-* ``workers > 1`` and the backend threads internally (scipy, pyFFTW):
-  pass ``workers=`` straight into the executable — zero-copy multicore.
-* ``workers > 1`` otherwise (numpy, native): fan row chunks across the
-  shared-memory process pool for the c2c kinds.  Sub-batch transforms are
-  row-independent for pocketfft, so the result is byte-identical to
-  ``workers=1`` (pinned by ``tests/core/test_kernel_workers.py``).
+One :class:`KernelEngine` is built per run from ``RunConfig.fft_backend``;
+the pipeline's FFT steps call its :meth:`cft_1z` / :meth:`cft_2xy` /
+:meth:`rfft` instead of importing the kernels directly.  The engine caches
+backend executables per ``(kind, shape, dtype, layout)`` — band after band
+hits a ready plan — and runs every call single-threaded: the kernels own
+about a fifth of the host time of a data-mode run, and a two-worker
+process pool measured 2.3x slower than one worker on a two-core host (see
+``docs/PERFORMANCE.md``).
 
 Call and row counters feed the ``dataplane.*`` telemetry gauges through
 :meth:`stats`.
@@ -30,24 +22,15 @@ from repro.fft.backends.registry import DEFAULT_BACKEND, get_backend
 
 __all__ = ["KernelEngine", "default_engine"]
 
-#: Don't fan a batch to processes below this many rows — the pipe/copy
-#: overhead swamps the kernel for tiny batches.
-_MIN_POOL_ROWS = 2
-
 
 class KernelEngine:
-    """Per-run facade over one backend + one multicore strategy."""
+    """Per-run facade over one backend with a plan cache."""
 
-    def __init__(self, backend: str = DEFAULT_BACKEND, workers: int = 1):
-        if workers < 1:
-            raise ValueError(f"kernel_workers must be >= 1, got {workers}")
+    def __init__(self, backend: str = DEFAULT_BACKEND):
         self.backend: FftBackend = get_backend(backend)
-        self.workers = int(workers)
         self._plans: dict = {}
         self.kernel_calls = 0
         self.kernel_rows = 0
-        self.pool_batches = 0
-        self.pool_rows = 0
 
     # -- planning -----------------------------------------------------------
 
@@ -65,18 +48,6 @@ class KernelEngine:
     def _run_c2c(self, kind: str, x: np.ndarray, sign: int, out):
         self.kernel_calls += 1
         self.kernel_rows += x.shape[0]
-        if self.workers > 1:
-            if self.backend.supports_workers:
-                exe = self.plan(kind, x.shape, dtype=x.dtype)
-                return exe(x, sign, out=out, workers=self.workers)
-            if x.shape[0] >= _MIN_POOL_ROWS:
-                from repro.fft.backends.pool import shared_pool
-
-                pool = shared_pool(self.workers)
-                res = pool.run(self.backend.name, kind, x, sign, out=out)
-                self.pool_batches += 1
-                self.pool_rows += x.shape[0]
-                return res
         exe = self.plan(kind, x.shape, dtype=x.dtype)
         return exe(x, sign, out=out)
 
@@ -108,8 +79,7 @@ class KernelEngine:
         self.kernel_calls += 1
         self.kernel_rows += x.shape[0]
         exe = self.plan("rfft", x.shape, dtype=x.dtype)
-        workers = self.workers if self.backend.supports_workers and self.workers > 1 else None
-        return exe(x, -1, out=out, workers=workers)
+        return exe(x, -1, out=out)
 
     # -- telemetry ----------------------------------------------------------
 
@@ -117,11 +87,8 @@ class KernelEngine:
         """Counters merged into the run's ``dataplane`` manifest section."""
         return {
             "kernel_backend": self.backend.name,
-            "kernel_workers": self.workers,
             "kernel_calls": self.kernel_calls,
             "kernel_rows": self.kernel_rows,
-            "kernel_pool_batches": self.pool_batches,
-            "kernel_pool_rows": self.pool_rows,
         }
 
 
@@ -129,12 +96,12 @@ _DEFAULT: KernelEngine | None = None
 
 
 def default_engine() -> KernelEngine:
-    """Process-wide single-threaded default-backend engine.
+    """Process-wide default-backend engine.
 
     Used by contexts constructed without an explicit engine (unit tests,
     ad-hoc pipeline steps) so kernel routing never needs a None check.
     """
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = KernelEngine(DEFAULT_BACKEND, workers=1)
+        _DEFAULT = KernelEngine(DEFAULT_BACKEND)
     return _DEFAULT

@@ -32,7 +32,6 @@ __all__ = ["NativeBackend"]
 
 class NativeBackend(FftBackend):
     name = "native"
-    supports_workers = False
 
     def availability(self) -> tuple[bool, str]:
         version = getattr(repro, "__version__", "dev")
@@ -47,7 +46,7 @@ class NativeBackend(FftBackend):
                     f"native rfft requires an even transform length, got {spec.shape[-1]}"
                 )
 
-            def exe(x, sign=-1, out=None, workers=None):
+            def exe(x, sign=-1, out=None):
                 x = np.asarray(x)
                 check_input(spec, x, sign)
                 res = native_rfft(np.asarray(x, dtype=np.float64))
@@ -55,7 +54,7 @@ class NativeBackend(FftBackend):
 
         elif spec.kind == "c2c_1d":
 
-            def exe(x, sign, out=None, workers=None):
+            def exe(x, sign, out=None):
                 x = np.asarray(x)
                 check_input(spec, x, sign)
                 if cplx == np.dtype("complex128"):
@@ -64,7 +63,7 @@ class NativeBackend(FftBackend):
 
         else:  # c2c_2d
 
-            def exe(x, sign, out=None, workers=None):
+            def exe(x, sign, out=None):
                 x = np.asarray(x)
                 check_input(spec, x, sign)
                 if cplx == np.dtype("complex128"):

@@ -9,10 +9,7 @@ Mapping QE conventions onto numpy's ``norm="forward"`` mode:
   norm="forward")``.
 
 pocketfft preserves ``complex64`` end to end, so the single-precision
-conformance lane exercises a genuine single-precision kernel.  numpy has
-no ``workers=`` knob — multicore execution for this backend goes through
-the shared-memory process pool (``repro.fft.backends.pool``), which is
-byte-deterministic because pocketfft computes batch rows independently.
+conformance lane exercises a genuine single-precision kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ __all__ = ["NumpyBackend"]
 
 class NumpyBackend(FftBackend):
     name = "numpy"
-    supports_workers = False
 
     def availability(self) -> tuple[bool, str]:
         return True, f"numpy {np.__version__} (pocketfft)"
@@ -44,7 +40,7 @@ class NumpyBackend(FftBackend):
         if spec.kind == "rfft":
             rdt = real_dtype_of(spec)
 
-            def exe(x, sign=-1, out=None, workers=None):
+            def exe(x, sign=-1, out=None):
                 x = np.asarray(x)
                 check_input(spec, x, sign)
                 res = np.fft.rfft(x.astype(rdt, copy=False), axis=-1)
@@ -52,7 +48,7 @@ class NumpyBackend(FftBackend):
 
         elif spec.kind == "c2c_1d":
 
-            def exe(x, sign, out=None, workers=None):
+            def exe(x, sign, out=None):
                 x = np.asarray(x)
                 check_input(spec, x, sign)
                 x = x.astype(cplx, copy=False)
@@ -64,7 +60,7 @@ class NumpyBackend(FftBackend):
 
         else:  # c2c_2d
 
-            def exe(x, sign, out=None, workers=None):
+            def exe(x, sign, out=None):
                 x = np.asarray(x)
                 check_input(spec, x, sign)
                 x = x.astype(cplx, copy=False)

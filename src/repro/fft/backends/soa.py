@@ -12,9 +12,8 @@ so the choice stays data-driven per host.
 
 The adapter stages planar input into an interleaved complex scratch
 buffer, runs the backend's AoS executable, and unpacks the result back to
-planes.  Staging buffers can come from a workspace arena (keyed with
-``layout="soa"`` so they never alias the AoS pools — the PR 8 arena-key
-fix) or are allocated fresh.
+planes.  The interleaved staging buffer is allocated fresh unless the
+caller passes one.
 """
 
 from __future__ import annotations
@@ -58,15 +57,14 @@ def wrap_soa(aos_exe, spec: PlanSpec):
 
     The returned executable takes planar input (``(2,) + shape`` floats;
     plain real ``shape`` for rfft), produces planar output, and accepts an
-    optional planar ``out=``.  An optional ``scratch=`` keyword lets the
-    engine pass an arena-checked-out interleaved staging buffer so the hot
-    path stays allocation-free.
+    optional planar ``out=``.  An optional ``scratch=`` keyword supplies
+    the interleaved staging buffer so a repeated call stays allocation-free.
     """
     cplx = complex_dtype_of(spec)
     rdt = real_dtype_of(spec)
     out_shape = (2,) + result_shape(spec)
 
-    def exe(x, sign, out=None, workers=None, scratch=None):
+    def exe(x, sign, out=None, scratch=None):
         x = np.asarray(x)
         check_input(spec, x, sign)
         if spec.kind == "rfft":
@@ -82,7 +80,7 @@ def wrap_soa(aos_exe, spec: PlanSpec):
             scratch.real = x[0]
             scratch.imag = x[1]
             aos_in = scratch
-        res = aos_exe(aos_in, sign, workers=workers)
+        res = aos_exe(aos_in, sign)
         if out is None:
             out = np.empty(out_shape, dtype=rdt)
         elif tuple(out.shape) != out_shape:

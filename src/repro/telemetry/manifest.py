@@ -18,9 +18,8 @@ compares against.  It captures:
 * the POP efficiency factors when the caller ran the ideal-network replay,
 * the fault-injection report (scenario, injected/recovered counts, per-
   attempt outcomes) when the run carried a fault scenario,
-* the data-plane arena statistics (buffer acquires/reuse-hits/releases,
-  allocations avoided, bytes resident) under ``dataplane`` when the run
-  executed in data mode with the workspace arena enabled.
+* the data-plane record (decomposition, kernel backend, kernel calls and
+  rows) under ``dataplane`` when the run executed in data mode.
 
 Validation is hand-rolled (:func:`validate_manifest`) so the repository
 needs no jsonschema dependency; ``docs/run_manifest.schema.json`` mirrors
@@ -219,9 +218,7 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
     ("config.nbnd", (int,), True),
     ("config.label", (str,), True),
     ("config.fft_backend", (str,), False),
-    ("config.kernel_workers", (int,), False),
     ("config.decomposition", (str,), False),
-    ("config.redistribution", (str,), False),
     ("calibration", (dict,), True),
     ("timing", (dict,), True),
     ("timing.phase_time_s", (int, float), True),
@@ -238,10 +235,9 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
     ("failed", (bool,), False),
     ("dataplane", (dict,), False),
     ("dataplane.kernel_backend", (str,), False),
-    ("dataplane.kernel_workers", (int,), False),
     ("dataplane.decomposition", (str,), False),
-    ("dataplane.redistribution", (str,), False),
-    ("dataplane.pack_copies", (int,), False),
+    ("dataplane.kernel_calls", (int,), False),
+    ("dataplane.kernel_rows", (int,), False),
     ("internode", (dict,), False),
     ("internode.inter_bytes", (int, float), False),
     ("internode.inter_messages", (int,), False),

@@ -97,6 +97,21 @@ class SpanLog:
             Span(name=name, category=category, track=track, t_begin=t_begin, t_end=t_end, args=args)
         )
 
+    def close_open(self, t: float, start: int = 0, **args: _t.Any) -> int:
+        """Close every span from index ``start`` on that is still open.
+
+        Each closes at ``max(t, t_begin)`` with ``args`` merged into its
+        arguments — the driver tags the spans of an aborted attempt
+        ``status="killed"`` this way.  Returns the number closed.
+        """
+        closed = 0
+        for span in self._spans[start:]:
+            if span.t_end is None:
+                span.t_end = max(t, span.t_begin)
+                span.args.update(args)
+                closed += 1
+        return closed
+
     @contextlib.contextmanager
     def span(
         self,
@@ -111,7 +126,9 @@ class SpanLog:
         try:
             yield handle
         finally:
-            if handle is not None:
+            # A span already closed by close_open (its attempt was killed)
+            # keeps its recorded end when the dead generator is finalized.
+            if handle is not None and handle.t_end is None:
                 self.end(handle, clock())
 
     # -- queries -------------------------------------------------------------

@@ -1,19 +1,17 @@
-"""The arena is an optimization, never a semantic layer.
+"""Data-plane contracts: cached index maps, fresh inputs, the dataplane record.
 
-Every test here pins the data-plane contract: runs with the workspace arena
-enabled are *byte-identical* (outputs and simulated timing) to runs with
-fresh allocations, across executors, process grids, and warm reruns; the
-cached index maps equal a from-scratch recompute; and the no-copy marshal
-paths really do avoid copies.
+The cached index maps every exchange plan is built from equal a
+from-scratch recompute; the coefficient split hands each process fresh
+contiguous rows; and every data-mode run reports its ``dataplane`` record
+(decomposition plus kernel counters) in the result, the telemetry gauges
+and the manifest — meta-mode runs report none.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import RunConfig, run_fft_phase
-from repro.core.pack import pack_parts
 from repro.core.wave import distribute_coefficients, make_band_coefficients
-from repro.core.workspace import aggregate_stats, layout_workspaces
 from repro.grids.descriptor import Cell, DistributedLayout, FftDescriptor
 from repro.telemetry.manifest import build_manifest, validate_manifest
 
@@ -22,71 +20,6 @@ SMALL = dict(ecutwfc=12.0, alat=5.0, nbnd=8)
 
 def small_config(**kwargs):
     return RunConfig(**{**SMALL, **kwargs})
-
-
-def as_bytes(x):
-    return np.ascontiguousarray(x).view(np.float64)
-
-
-GRID_CASES = [
-    ("original", 4, 2),
-    ("pipelined", 4, 2),
-    ("ompss_steps", 4, 2),
-    ("ompss_perfft", 4, 1),
-    ("ompss_combined", 4, 1),
-    ("original", 4, 1),
-]
-
-
-class TestArenaIdentity:
-    @pytest.mark.parametrize("version,taskgroups,ranks", GRID_CASES)
-    def test_arena_matches_fresh_allocation(self, version, taskgroups, ranks):
-        cfg = small_config(
-            ranks=ranks, taskgroups=taskgroups, version=version, data_mode=True
-        )
-        fresh = run_fft_phase(cfg, use_workspace=False)
-        arena = run_fft_phase(cfg, use_workspace=True)
-        np.testing.assert_array_equal(
-            as_bytes(arena.output_coefficients()),
-            as_bytes(fresh.output_coefficients()),
-        )
-        assert arena.phase_time == fresh.phase_time
-
-    @pytest.mark.parametrize("version", ["original", "pipelined", "ompss_steps"])
-    def test_warm_rerun_identical(self, version):
-        """A second run reuses pooled buffers; stale contents must not leak
-        into any band (full-overwrite discipline)."""
-        cfg = small_config(ranks=2, taskgroups=4, version=version, data_mode=True)
-        first = run_fft_phase(cfg, use_workspace=True)
-        second = run_fft_phase(cfg, use_workspace=True)
-        np.testing.assert_array_equal(
-            as_bytes(first.output_coefficients()),
-            as_bytes(second.output_coefficients()),
-        )
-        # The warm run should actually have recycled buffers.
-        assert second.dataplane["reuse_hits"] > 0
-
-    def test_seed_isolation_under_arena(self):
-        """Pooled buffers from seed A must not contaminate a seed-B run."""
-        cfg_a = small_config(ranks=2, taskgroups=2, data_mode=True, seed=1)
-        cfg_b = small_config(ranks=2, taskgroups=2, data_mode=True, seed=2)
-        run_fft_phase(cfg_a, use_workspace=True)  # warm the pools
-        warm_b = run_fft_phase(cfg_b, use_workspace=True)
-        cold_b = run_fft_phase(cfg_b, use_workspace=False)
-        np.testing.assert_array_equal(
-            as_bytes(warm_b.output_coefficients()),
-            as_bytes(cold_b.output_coefficients()),
-        )
-
-    @pytest.mark.parametrize(
-        "version",
-        ["original", "pipelined", "ompss_perfft", "ompss_steps", "ompss_combined"],
-    )
-    def test_dense_reference_roundtrip(self, version):
-        """Batched marshalling + arena still matches the dense cfft3d chain."""
-        cfg = small_config(ranks=2, taskgroups=2, version=version, data_mode=True)
-        res = run_fft_phase(cfg, use_workspace=True)
-        assert res.validate() < 1e-12
 
 
 class TestIndexMapCaching:
@@ -148,16 +81,6 @@ class TestNoCopyMarshalling:
         desc = FftDescriptor(Cell(alat=5.0), ecutwfc=12.0)
         return DistributedLayout(desc, n_scatter=2, n_groups=2)
 
-    def test_pack_parts_passes_arrays_through_uncopied(self, layout):
-        p = 0
-        ngw = layout.ngw_of(p)
-        bands = [
-            np.arange(ngw, dtype=np.complex128) * (t + 1) for t in range(layout.T)
-        ]
-        parts = pack_parts(layout, p, bands)
-        for t in range(layout.T):
-            assert parts[t] is bands[t]
-
     def test_distribute_coefficients_rows_fresh_and_contiguous(self, layout):
         coeffs = make_band_coefficients(layout.desc.ngw, 4, seed=0)
         per_proc = distribute_coefficients(layout, coeffs)
@@ -172,53 +95,36 @@ class TestNoCopyMarshalling:
 class TestDataplaneStats:
     def test_data_mode_run_reports_dataplane(self):
         cfg = small_config(ranks=2, taskgroups=2, data_mode=True)
-        res = run_fft_phase(cfg, use_workspace=True)
-        dp = res.dataplane
+        dp = run_fft_phase(cfg).dataplane
         assert dp is not None
-        assert dp["acquires"] > 0
-        # Balanced checkouts: nothing left live after a clean run.
-        assert dp["live"] == 0
-        assert dp["acquires"] == dp["releases"]
-        assert dp["allocations_avoided"] == dp["reuse_hits"]
-        assert dp["bytes_resident"] > 0
-        assert dp["live_peak"] > 0
+        assert set(dp) == {"decomposition", "kernel_backend", "kernel_calls", "kernel_rows"}
+        assert dp["decomposition"] == "slab"
+        assert dp["kernel_calls"] > 0
 
     def test_meta_mode_and_disabled_have_no_dataplane(self):
+        """Meta mode is the one run without a data plane."""
         meta = run_fft_phase(small_config(ranks=2, taskgroups=2, data_mode=False))
         assert meta.dataplane is None
-        off = run_fft_phase(
-            small_config(ranks=2, taskgroups=2, data_mode=True),
-            use_workspace=False,
-        )
-        assert off.dataplane is None
-
-    def test_arenas_attach_to_layout_and_balance(self):
-        cfg = small_config(ranks=2, taskgroups=2, data_mode=True)
-        res = run_fft_phase(cfg, use_workspace=True)
-        arenas = layout_workspaces(res.layout)
-        assert set(arenas) == set(range(res.layout.P))
-        total = aggregate_stats(arenas.values())
-        assert total["live"] == 0
-        assert total["acquires"] == total["releases"]
 
     def test_dataplane_gauges_exported_to_telemetry(self):
         cfg = small_config(ranks=2, taskgroups=2, data_mode=True, telemetry=True)
-        res = run_fft_phase(cfg, use_workspace=True)
+        res = run_fft_phase(cfg)
         snapshot = res.telemetry.metrics.snapshot()
-        for name in ("dataplane.acquires", "dataplane.reuse_hits", "dataplane.live"):
+        for name in ("dataplane.kernel_calls", "dataplane.kernel_rows"):
             assert name in snapshot, name
             assert snapshot[name]["kind"] == "gauge"
 
     def test_manifest_carries_dataplane_section(self):
         cfg = small_config(ranks=2, taskgroups=2, data_mode=True, telemetry=True)
-        res = run_fft_phase(cfg, use_workspace=True)
+        res = run_fft_phase(cfg)
         manifest = build_manifest(res, wall_time_s=0.1)
         assert validate_manifest(manifest) == []
         assert manifest["dataplane"] == res.dataplane
 
     def test_manifest_omits_dataplane_when_disabled(self):
-        cfg = small_config(ranks=2, taskgroups=2, data_mode=True, telemetry=True)
-        res = run_fft_phase(cfg, use_workspace=False)
+        """A meta-mode run (no data plane) writes no dataplane section."""
+        cfg = small_config(ranks=2, taskgroups=2, data_mode=False, telemetry=True)
+        res = run_fft_phase(cfg)
         manifest = build_manifest(res, wall_time_s=0.1)
         assert validate_manifest(manifest) == []
         assert "dataplane" not in manifest

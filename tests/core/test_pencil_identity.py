@@ -50,9 +50,12 @@ class TestPencilMatchesSlab:
             decomposition="pencil",
             **SMALL,
         )
-        dp = run_fft_phase(cfg).dataplane
-        assert dp is not None
-        assert dp["pack_copies"] == 0, version
+        calls = set()
+        res = run_fft_phase(cfg, mpi_observer=lambda rec: calls.add(rec.call))
+        assert res.dataplane["decomposition"] == "pencil"
+        # Every exchange moves its elements with one Alltoallw: no staged
+        # pack/unpack copies around an Alltoall.
+        assert calls == {"alltoallw"}, version
 
     @pytest.mark.parametrize(
         "ranks,taskgroups",

@@ -1,29 +1,31 @@
-"""Tests for wave data helpers and the pack/scatter marshalling."""
+"""Tests for wave data helpers and the staged pack/scatter oracle."""
 
 import numpy as np
 import pytest
 
-from repro.core.pack import pack_part_bytes, pack_parts, unpack_parts
-from repro.core.scatter import (
-    assemble_group_block_from_planes,
-    assemble_planes,
-    scatter_bw_parts,
-    scatter_fw_parts,
-    scatter_part_bytes,
-)
 from repro.core.vofr import apply_potential
 from repro.core.wave import (
     distribute_coefficients,
-    expand_group_block,
     expand_to_sticks,
     extract_from_sticks,
-    extract_group_coefficients,
     make_band_coefficients,
     make_potential,
     potential_slab,
 )
 from repro.grids import Cell, DistributedLayout, FftDescriptor
 from repro.mpisim import MetaPayload
+from tests.core.packed_oracle import (
+    assemble_group_block_from_planes,
+    assemble_planes,
+    expand_group_block,
+    extract_group_coefficients,
+    pack_part_bytes,
+    pack_parts,
+    scatter_bw_parts,
+    scatter_fw_parts,
+    scatter_part_bytes,
+    unpack_parts,
+)
 
 RNG = np.random.default_rng(99)
 

@@ -8,6 +8,8 @@ manifest still schema-valid.  Pinned across all five executors, since
 each wires fault injection into a different pipeline shape.
 """
 
+import warnings
+
 import pytest
 
 from repro.core import RunConfig, run_fft_phase
@@ -63,3 +65,22 @@ def test_exhaustion_is_deterministic():
     a = run("original")
     b = run("original")
     assert a.fault_report == b.fault_report
+
+
+def test_killed_attempts_close_their_spans():
+    """Aborted attempts close their open spans as killed instead of leaving
+    them for a finalization warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run("ompss_steps", telemetry=True)
+    spans = res.telemetry.spans.all()
+    assert spans and all(s.t_end is not None for s in spans)
+    killed = [s for s in spans if s.args.get("status") == "killed"]
+    # Each of the three attempts died with every rank's executor span open,
+    # and each killed span ends at its attempt's abort time.
+    executors = [s for s in killed if s.category == "executor"]
+    assert len(executors) == 3 * res.config.n_mpi_ranks
+    abort_times = {a["phase_time_s"] for a in res.fault_report["attempts"]}
+    assert {s.t_end for s in killed} <= abort_times
+    manifest = build_manifest(res, created="(test)")
+    assert manifest["analysis"]["unclosed_spans"] == 0

@@ -20,15 +20,12 @@ SHEARED = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.2]])
 
 def run_distributed(desc, coeffs, potential, R, T):
     """Drive the marshalling layers by hand (no simulator: numerics only)."""
-    from repro.core.wave import (
-        distribute_coefficients,
-        expand_group_block,
-        extract_group_coefficients,
-        potential_slab,
-    )
-    from repro.core.scatter import (
+    from repro.core.wave import distribute_coefficients, potential_slab
+    from tests.core.packed_oracle import (
         assemble_group_block_from_planes,
         assemble_planes,
+        expand_group_block,
+        extract_group_coefficients,
         scatter_bw_parts,
         scatter_fw_parts,
     )

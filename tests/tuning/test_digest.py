@@ -51,6 +51,13 @@ class TestDigestStability:
         assert len(digest) == len("sha256:") + 64
         assert digest_doc(config)["schema"] == DIGEST_SCHEMA
 
+    def test_reference_digest_is_pinned(self):
+        """Dropping knob fields from RunConfig must not move the key: stored
+        wisdom keeps matching across that change."""
+        assert workload_digest(RunConfig(**REF)) == (
+            "sha256:bf9d8af6ea959ebee676cb57dda1225d7ac0ef4ea76f862881e94c4c56feb188"
+        )
+
     def test_default_knl_matches_explicit_default(self):
         config = RunConfig(**REF)
         assert workload_digest(config) == workload_digest(config, KnlParameters())
@@ -66,7 +73,7 @@ class TestDigestSensitivity:
             "grainsize_xy": 20,
             "grainsize_z": 400,
             "decomposition": "pencil",
-            "redistribution": "packed",
+            "fft_backend": "native",
         }
         for field, value in moved.items():
             variant = dataclasses.replace(base, **{field: value})

@@ -9,6 +9,7 @@ path is pinned bit-identical to the pre-knob timings.
 """
 
 import dataclasses
+import json
 import time
 
 import pytest
@@ -113,6 +114,39 @@ class TestResolveTuning:
         assert info["hit"] is True
         assert info["applied"] is False
         assert resolved == config
+
+    def test_schema1_record_with_removed_knobs_still_applies(self, tmp_path):
+        """Wisdom stored while RunConfig still had ``redistribution`` and
+        ``kernel_workers`` hits, and its remaining knobs are applied."""
+        path = tmp_path / "w.jsonl"
+        config = RunConfig(
+            ranks=4, taskgroups=2, tuning="consult", wisdom_path=str(path), **SMALL
+        )
+        record = {
+            "schema": 1,
+            "digest": workload_digest(config),
+            "knobs": {
+                "taskgroups": 4,
+                "scheduler": "fifo",
+                "grainsize_xy": 20,
+                "grainsize_z": 400,
+                "decomposition": "pencil",
+                "redistribution": "packed",
+                "fft_backend": "numpy",
+                "kernel_workers": 2,
+            },
+            "score": 0.001,
+            "predicted_s": None,
+            "source": "search",
+            "provenance": {},
+        }
+        path.write_text(json.dumps(record) + "\n")
+        resolved, info = resolve_tuning(config)
+        assert info["hit"] is True
+        assert info["applied"] is True
+        assert (resolved.taskgroups, resolved.grainsize_xy, resolved.grainsize_z) == (4, 20, 400)
+        assert resolved.decomposition == "pencil"
+        assert run_fft_phase(config).tuning["applied"] is True
 
     def test_apply_knobs_drops_backend_knobs_before_giving_up(self):
         config = RunConfig(ranks=2, taskgroups=2, **SMALL)
