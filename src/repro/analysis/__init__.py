@@ -6,20 +6,25 @@ run and sweep manifests — and produces the three artifacts the paper's
 methodology rests on:
 
 * the **POP multiplicative efficiency model** per run and per phase
-  (:mod:`repro.analysis.pop`),
+  (:mod:`repro.analysis.pop`); its :func:`~repro.analysis.pop.pop_factors`
+  is also the arithmetic of the Table I/II columns
+  (:mod:`repro.perf.popmodel`),
 * the **critical path** through the simulated timeline and the ompss task
   graph (:mod:`repro.analysis.critpath`),
-* **regression triage** for manifest pairs — which phase, which factor,
-  which counter moved (:mod:`repro.analysis.triage`).
+* **regression triage** for manifest pairs — the phase-by-phase manifest
+  diff and which phase, which factor, which counter moved
+  (:mod:`repro.analysis.triage`), the one comparison behind ``perf diff``,
+  ``perf check``, ``analyze A B`` and ``compare``.
 
 Everything here is read-only over existing data: analyzing a run never
 perturbs the simulation (the golden-manifest gate pins this).
 
 Entry points
 ------------
-:func:`analyze_run` (a live :class:`~repro.core.driver.RunResult`),
+:func:`analyze_run` (a live :class:`~repro.core.driver.RunResult`; what
+run manifests embed as their ``analysis`` section),
 :func:`analyze_session` (a telemetry session, used by the driver at
-finalization), :func:`analyze_manifest` / :func:`analyze_pair` /
+finalization), :func:`analyze_manifest` / :func:`triage_pair` /
 :func:`analyze_sweep` (JSON artifacts, used by the CLI).
 """
 
@@ -58,7 +63,6 @@ __all__ = [
     "analyze_run",
     "analyze_session",
     "analyze_manifest",
-    "analyze_pair",
     "analyze_sweep",
     "efficiency_summary",
     # re-exports
@@ -214,13 +218,6 @@ def analyze_manifest(manifest: dict) -> dict:
         "phase_time_s": manifest.get("timing", {}).get("phase_time_s"),
         "analysis": section,
     }
-
-
-def analyze_pair(
-    baseline: dict, candidate: dict, threshold: float = 0.02
-) -> TriageReport:
-    """Triage a manifest pair: what regressed and which factor moved."""
-    return triage_pair(baseline, candidate, threshold=threshold)
 
 
 def analyze_sweep(manifest: dict) -> list[dict]:

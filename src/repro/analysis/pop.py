@@ -1,10 +1,11 @@
 """Per-phase POP efficiency decomposition from stream timelines.
 
-The run-level POP model (:mod:`repro.perf.popmodel`) condenses a whole run
-into one factor column; this module computes the same multiplicative
-decomposition *per phase* and *per communicator layer*, directly from the
-per-stream record timelines the telemetry layer stores — the step the
-paper performs in Paraver before quoting a table.
+:func:`pop_factors` is the one POP arithmetic of the package: the run-level
+factor columns of Tables I/II (:mod:`repro.perf.popmodel`) and the
+decomposition here both call it.  This module adds the detail *per phase*
+and *per communicator layer*, directly from the per-stream record timelines
+the telemetry layer stores — the step the paper performs in Paraver before
+quoting a table.
 
 Definitions (per stream ``s`` over the measured horizon ``T``):
 
@@ -42,6 +43,7 @@ __all__ = [
     "PopDecomposition",
     "timelines_from_trace",
     "timelines_from_counters",
+    "pop_factors",
     "decompose",
 ]
 
@@ -215,6 +217,39 @@ class PopDecomposition:
         )
 
 
+def pop_factors(
+    per_stream_compute: _t.Sequence[float],
+    makespan_s: float,
+    ideal_time_s: float | None = None,
+) -> tuple[float, float, float, float, float]:
+    """The multiplicative POP factors of one run.
+
+    Returns ``(load_balance, communication_efficiency,
+    serialization_efficiency, transfer_efficiency, parallel_efficiency)``
+    from each stream's useful compute time, the makespan and the runtime on
+    an ideal network.  Without a positive ``ideal_time_s`` the split is not
+    identified: transfer is 1 and serialization carries the whole
+    communication efficiency.
+    """
+    if not per_stream_compute or makespan_s <= 0.0:
+        raise ValueError(
+            f"no computation to analyse ({len(per_stream_compute)} streams, "
+            f"makespan {makespan_s})"
+        )
+    max_compute = max(per_stream_compute)
+    mean_compute = sum(per_stream_compute) / len(per_stream_compute)
+    load_balance = mean_compute / max_compute if max_compute > 0 else 1.0
+    comm_eff = max_compute / makespan_s
+    parallel_eff = load_balance * comm_eff
+    if ideal_time_s is not None and ideal_time_s > 0:
+        transfer_eff = min(ideal_time_s / makespan_s, 1.0)
+        serialization_eff = min(max_compute / ideal_time_s, 1.0)
+    else:
+        transfer_eff = 1.0
+        serialization_eff = comm_eff
+    return load_balance, comm_eff, serialization_eff, transfer_eff, parallel_eff
+
+
 def decompose(
     timelines: _t.Sequence[StreamTimeline],
     makespan_s: float,
@@ -228,37 +263,25 @@ def decompose(
     estimated from the recorded MPI sync times (see module docstring), or
     left neutral (transfer = 1) when no MPI records exist.
     """
-    if not timelines:
-        raise ValueError("no stream timelines to decompose")
-    if makespan_s <= 0.0:
-        raise ValueError(f"makespan must be > 0, got {makespan_s}")
-
     compute = [tl.compute_time for tl in timelines]
-    max_compute = max(compute)
-    mean_compute = sum(compute) / len(compute)
-    load_balance = mean_compute / max_compute if max_compute > 0 else 1.0
-    comm_eff = max_compute / makespan_s
-    parallel_eff = load_balance * comm_eff
-
-    has_mpi = any(tl.mpi_sync or tl.mpi_transfer for tl in timelines)
-    if ideal_time_s is not None and ideal_time_s > 0:
+    ideal = ideal_time_s if ideal_time_s is not None and ideal_time_s > 0 else None
+    if ideal is not None:
         split_source = "replay"
-        ideal = ideal_time_s
-        transfer_eff = min(ideal / makespan_s, 1.0)
-        serialization_eff = min(max_compute / ideal, 1.0) if ideal > 0 else 1.0
-    elif has_mpi:
+    elif any(tl.mpi_sync or tl.mpi_transfer for tl in timelines):
         split_source = "estimate"
         busy = max(tl.compute_time + tl.mpi_sync for tl in timelines)
         # Serialization keeps the dependency waits; transfer removal cannot
         # make the run slower than measured or faster than its compute.
-        ideal = min(max(busy, max_compute), makespan_s)
-        transfer_eff = ideal / makespan_s
-        serialization_eff = max_compute / ideal if ideal > 0 else 1.0
+        ideal = min(max(busy, max(compute)), makespan_s)
     else:
         split_source = "neutral"
-        ideal = makespan_s
-        transfer_eff = 1.0
-        serialization_eff = comm_eff
+    (
+        load_balance,
+        comm_eff,
+        serialization_eff,
+        transfer_eff,
+        parallel_eff,
+    ) = pop_factors(compute, makespan_s, ideal)
 
     phase_names = sorted({p for tl in timelines for p in tl.compute_by_phase})
     phases = []
@@ -302,7 +325,7 @@ def decompose(
         transfer_efficiency=transfer_eff,
         communication_efficiency=comm_eff,
         parallel_efficiency=parallel_eff,
-        ideal_runtime_s=ideal,
+        ideal_runtime_s=ideal if ideal is not None else makespan_s,
         split_source=split_source,
         phases=phases,
         comm_layers=layers,

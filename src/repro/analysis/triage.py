@@ -1,12 +1,13 @@
 """Automated regression triage: from "it got slower" to "here is why".
 
-:func:`triage_pair` consumes two run manifests (baseline A, candidate B)
-and produces a :class:`TriageReport` — a ranked list of
-:class:`TriageFinding` rows naming what moved: the phase, the efficiency
-factor, the MPI layer, the engine counter.  The report is the structured
-blame attachment of ``perf diff`` / ``perf check`` and the A/B mode of the
-``analyze`` CLI; it serializes to JSON and renders to text via
-:mod:`repro.analysis.render`.
+:func:`diff_manifests` aligns two run manifests (baseline A, candidate B)
+phase by phase; :func:`triage_pair` turns that alignment into a
+:class:`TriageReport` — a ranked list of :class:`TriageFinding` rows naming
+what moved: the phase, the efficiency factor, the MPI layer, the engine
+counter.  The report is what ``perf diff``, ``perf check``, ``compare`` and
+the A/B mode of ``analyze`` print; it serializes to JSON and renders to
+text via :mod:`repro.analysis.render`.  :func:`manifest_regressions` is the
+``perf check`` gate.
 
 Findings are heuristic rankings over exact data — every number in a
 finding comes straight from the manifests; only the ordering ("dominant")
@@ -19,9 +20,125 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.perf.compare import ManifestDiff, diff_manifests
+__all__ = [
+    "PhaseDelta",
+    "ManifestDiff",
+    "diff_manifests",
+    "manifest_regressions",
+    "TriageFinding",
+    "TriageReport",
+    "triage_pair",
+]
 
-__all__ = ["TriageFinding", "TriageReport", "triage_pair"]
+
+@dataclasses.dataclass(frozen=True)
+class PhaseDelta:
+    """One phase's aggregate change between runs A and B."""
+
+    name: str
+    time_a: float
+    time_b: float
+    ipc_a: float
+    ipc_b: float
+
+    @property
+    def relative(self) -> float:
+        """Relative time change (B vs A; negative = faster)."""
+        if self.time_a <= 0:
+            return float("inf") if self.time_b > 0 else 0.0
+        return self.time_b / self.time_a - 1.0
+
+
+@dataclasses.dataclass
+class ManifestDiff:
+    """Aligned view of two run manifests (A = baseline, B = candidate)."""
+
+    label_a: str
+    label_b: str
+    phase_time_a: float
+    phase_time_b: float
+    phases: list[PhaseDelta]
+    mpi_a: dict[str, float]  # communicator layer -> accumulated seconds
+    mpi_b: dict[str, float]
+
+    @property
+    def runtime_relative(self) -> float:
+        """Relative phase-runtime change (B vs A; negative = faster)."""
+        if self.phase_time_a <= 0:
+            return float("inf") if self.phase_time_b > 0 else 0.0
+        return self.phase_time_b / self.phase_time_a - 1.0
+
+
+def _manifest_phases(manifest: dict) -> dict[str, dict]:
+    return {
+        name: entry
+        for name, entry in manifest.get("phases", {}).items()
+        if isinstance(entry, dict)
+    }
+
+
+def _mpi_times(manifest: dict) -> dict[str, float]:
+    return {
+        layer: float(entry.get("time_s", 0.0))
+        for layer, entry in manifest.get("mpi", {}).items()
+    }
+
+
+def diff_manifests(manifest_a: dict, manifest_b: dict) -> ManifestDiff:
+    """Align two run manifests phase by phase (union of phase names)."""
+    phases_a = _manifest_phases(manifest_a)
+    phases_b = _manifest_phases(manifest_b)
+    phases = []
+    for name in sorted(set(phases_a) | set(phases_b)):
+        a = phases_a.get(name, {})
+        b = phases_b.get(name, {})
+        phases.append(
+            PhaseDelta(
+                name=name,
+                time_a=float(a.get("time_s", 0.0)),
+                time_b=float(b.get("time_s", 0.0)),
+                ipc_a=float(a.get("ipc", 0.0)),
+                ipc_b=float(b.get("ipc", 0.0)),
+            )
+        )
+    return ManifestDiff(
+        label_a=manifest_a["config"]["label"],
+        label_b=manifest_b["config"]["label"],
+        phase_time_a=float(manifest_a["timing"]["phase_time_s"]),
+        phase_time_b=float(manifest_b["timing"]["phase_time_s"]),
+        phases=phases,
+        mpi_a=_mpi_times(manifest_a),
+        mpi_b=_mpi_times(manifest_b),
+    )
+
+
+def manifest_regressions(
+    baseline: dict, candidate: dict, threshold: float = 0.05
+) -> list[str]:
+    """Regression-gate check: violations of ``candidate`` vs ``baseline``.
+
+    Flags the simulated phase runtime and any per-phase compute time that
+    grew by more than ``threshold`` (relative).  An empty list means the
+    candidate passes.
+    """
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    diff = diff_manifests(baseline, candidate)
+    violations = []
+    if diff.runtime_relative > threshold:
+        violations.append(
+            f"phase runtime regressed {diff.runtime_relative * 100:+.1f}% "
+            f"({diff.phase_time_a * 1e3:.3f} ms -> {diff.phase_time_b * 1e3:.3f} ms), "
+            f"threshold {threshold * 100:.1f}%"
+        )
+    for p in diff.phases:
+        if p.time_a > 0 and p.relative > threshold:
+            violations.append(
+                f"phase {p.name!r} compute time regressed {p.relative * 100:+.1f}% "
+                f"({p.time_a * 1e3:.3f} ms -> {p.time_b * 1e3:.3f} ms)"
+            )
+    return violations
+
 
 #: Finding kinds, in severity/report order.
 KIND_RUNTIME = "runtime"
@@ -112,12 +229,8 @@ def _relative(a: float, b: float) -> float:
 
 
 def _pop_of(manifest: dict) -> dict:
-    """The factor dict to triage: analysis.pop preferred, legacy pop fallback."""
-    section = manifest.get("analysis") or {}
-    pop = section.get("pop")
-    if isinstance(pop, dict):
-        return pop
-    return manifest.get("pop") or {}
+    """The run's ``analysis.pop`` factors (empty when it has none)."""
+    return (manifest.get("analysis") or {}).get("pop") or {}
 
 
 #: The factor keys triage tracks, mapped to report names.
@@ -158,7 +271,7 @@ def triage_pair(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    diff: ManifestDiff = diff_manifests(baseline, candidate)
+    diff = diff_manifests(baseline, candidate)
     rel = diff.runtime_relative
     if rel > threshold:
         verdict = "regression"

@@ -200,7 +200,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     )
     p_sweep.add_argument(
         "--pop", action="store_true",
-        help="replay each point on an ideal network and record POP factors",
+        help="replay each point on an ideal network; its analysis.pop splits "
+        "serialization/transfer by the replay",
     )
     p_sweep.add_argument(
         "--faults", metavar="PATH", default=None,
@@ -265,7 +266,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--pop", action="store_true",
-        help="replay on an ideal network and add POP factors to the manifest",
+        help="replay on an ideal network; the manifest's analysis.pop splits "
+        "serialization/transfer by the replay",
     )
     p_run.add_argument(
         "--faults", metavar="PATH", default=None,
@@ -373,7 +375,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     )
     perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
     p_diff = perf_sub.add_parser(
-        "diff", help="compare two manifests (runtime, per-phase time/IPC, POP)"
+        "diff", help="triage two manifests (runtime, phases, POP factors, MPI layers)"
     )
     p_diff.add_argument("manifest_a")
     p_diff.add_argument("manifest_b")
@@ -426,7 +428,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     )
 
     p_cmp = sub.add_parser(
-        "compare", help="trace two versions and print the phase-delta table"
+        "compare", help="run two versions and print their regression triage"
     )
     p_cmp.add_argument("version_a")
     p_cmp.add_argument("version_b")
@@ -583,7 +585,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         return _cmd_loadgen(args)
 
     if args.command == "run":
-        import dataclasses
         import time
 
         scenario = None
@@ -649,17 +650,11 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                 f"{result.n_attempts} attempt(s)"
             )
 
-        factors = None
         ideal_time = None
         if args.pop:
-            from repro.perf import factors_from_run, ideal_network
+            from repro.sweep.engine import ideal_replay
 
-            ideal = run_fft_phase(
-                dataclasses.replace(config, telemetry=False),
-                knl=ideal_network(),
-            )
-            ideal_time = ideal.phase_time
-            factors = factors_from_run(result, ideal_time=ideal_time)
+            ideal_time = ideal_replay(config).phase_time
         if args.manifest:
             from repro.telemetry.manifest import build_manifest, write_manifest
 
@@ -668,7 +663,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                 build_manifest(
                     result,
                     wall_time_s=None if args.stable_manifest else wall,
-                    factors=factors,
                     ideal_time_s=ideal_time,
                     created="(stable)" if args.stable_manifest else None,
                 ),
@@ -884,24 +878,14 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                 return 1
             print(f"{args.manifest}: valid run manifest")
             return 0
-        if args.perf_command == "diff":
-            from repro.analysis import analyze_pair
-            from repro.perf import diff_manifests, format_manifest_diff
+        from repro.analysis.render import render_triage_text
+        from repro.analysis.triage import manifest_regressions, triage_pair
 
-            doc_a, doc_b = _load(args.manifest_a), _load(args.manifest_b)
-            print(format_manifest_diff(diff_manifests(doc_a, doc_b)))
-            report = analyze_pair(doc_a, doc_b)
-            dom = report.dominant
-            line = f"\ntriage: {report.verdict.upper()}"
-            if dom is not None:
-                line += f" — dominant mover: {dom.kind} {dom.subject} ({dom.detail})"
-            print(line)
-            if report.dominant_factor:
-                print(f"triage: dominant efficiency factor: {report.dominant_factor}")
+        if args.perf_command == "diff":
+            report = triage_pair(_load(args.manifest_a), _load(args.manifest_b))
+            print(render_triage_text(report.to_dict(), top=len(report.findings)))
             return 0
         # perf check
-        from repro.perf import manifest_regressions
-
         baseline_doc = _load(args.baseline)
         candidate_doc = _load(args.candidate)
         violations = manifest_regressions(
@@ -910,12 +894,9 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
             threshold=args.threshold,
         )
         if violations:
-            from repro.analysis import analyze_pair
-            from repro.analysis.render import render_triage_text
-
             for v in violations:
                 print(f"REGRESSION: {v}", file=sys.stderr)
-            report = analyze_pair(
+            report = triage_pair(
                 baseline_doc, candidate_doc, threshold=args.threshold
             )
             print("\n" + render_triage_text(report.to_dict()), file=sys.stderr)
@@ -976,7 +957,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
         exit_code = 0
         if len(args.manifests) == 2:
-            report = _analysis.analyze_pair(
+            report = _analysis.triage_pair(
                 _load_run(args.manifests[0]),
                 _load_run(args.manifests[1]),
                 threshold=args.threshold,
@@ -1020,29 +1001,24 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         return exit_code
 
     if args.command == "compare":
-        from repro.machine import knl_parameters
-        from repro.perf import compare_runs, format_run_comparison, trace_run
+        from repro.analysis.render import render_triage_text
+        from repro.analysis.triage import triage_pair
+        from repro.telemetry.manifest import build_manifest
 
         workload = dict(QUICK_WORKLOAD) if args.quick else {}
-        traces = {}
-        times = {}
-        for version in (args.version_a, args.version_b):
-            cfg = RunConfig(
-                ranks=args.ranks, taskgroups=args.taskgroups, version=version, **workload
+        manifest_a, manifest_b = (
+            build_manifest(
+                run_fft_phase(
+                    RunConfig(
+                        ranks=args.ranks, taskgroups=args.taskgroups,
+                        version=version, telemetry=True, **workload,
+                    )
+                )
             )
-            result, trace = trace_run(cfg)
-            traces[version] = trace
-            times[version] = result.phase_time
-        cmp = compare_runs(
-            traces[args.version_a],
-            traces[args.version_b],
-            knl_parameters().frequency_hz,
+            for version in (args.version_a, args.version_b)
         )
-        print(
-            f"phase time: {args.version_a} {times[args.version_a] * 1e3:.2f} ms, "
-            f"{args.version_b} {times[args.version_b] * 1e3:.2f} ms"
-        )
-        print(format_run_comparison(cmp, labels=(args.version_a[:8], args.version_b[:8])))
+        report = triage_pair(manifest_a, manifest_b)
+        print(render_triage_text(report.to_dict(), top=len(report.findings)))
         return 0
 
     names = list(_EXPERIMENTS) if args.command == "all" else [args.command]

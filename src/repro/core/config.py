@@ -98,8 +98,8 @@ class RunConfig:
     #: hook reduces to one attribute check, so baselines are untouched.
     faults: "FaultScenario | None" = None
     #: FFT kernel backend for data-mode runs (``repro.fft.backends``):
-    #: ``"numpy"`` (pocketfft, default), ``"scipy"``, ``"pyfftw"`` when
-    #: importable, or ``"native"`` (the repo's own mixed-radix kernels).
+    #: ``"numpy"`` (pocketfft, default), ``"scipy"`` when importable, or
+    #: ``"native"`` (the repo's own mixed-radix kernels).
     #: Simulated timings never depend on this — only real payload math.
     fft_backend: str = "numpy"
     #: Real-space decomposition over the R scatter ranks of each task

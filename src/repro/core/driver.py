@@ -163,9 +163,6 @@ def run_fft_phase(
     config: RunConfig,
     knl: KnlParameters | None = None,
     cost_constants: CostConstants | None = None,
-    mpi_observer: _t.Callable | None = None,
-    compute_observer: _t.Callable | None = None,
-    task_observer: _t.Callable | None = None,
     input_coeffs: np.ndarray | None = None,
     potential: np.ndarray | None = None,
     telemetry: _telemetry.Telemetry | None = None,
@@ -182,7 +179,9 @@ def run_fft_phase(
 
     ``telemetry`` installs the given session for the duration of the run;
     with ``config.telemetry`` set a fresh enabled session is created.  The
-    session used (if any) is returned on ``RunResult.telemetry``.
+    session used (if any) is returned on ``RunResult.telemetry``; an
+    enabled session's tracer records every compute, MPI and task record of
+    the run (``RunResult.telemetry.trace``).
 
     ``faults`` overrides ``config.faults``; with a scenario active the
     driver checkpoints and resumes as described in the module docstring.
@@ -265,11 +264,7 @@ def run_fft_phase(
         else:
             v_slabs = [potential_slab(layout, r, potential) for r in range(layout.R)]
 
-    if tel is not None and tel.enabled:
-        if task_observer is None:
-            task_observer = tel.tracer.on_task
-        else:
-            task_observer = _fanout_task_observer(tel.tracer.on_task, task_observer)
+    task_observer = tel.tracer.on_task if tel is not None and tel.enabled else None
 
     # The kernel engine: one per run, shared by every rank context, so the
     # whole data plane runs on config.fft_backend and plan caches warm
@@ -367,10 +362,6 @@ def run_fft_phase(
             network.faults = injector
             world.faults = injector
             injector.bind(sim, attempt)
-        if mpi_observer is not None:
-            world.add_mpi_observer(mpi_observer)
-        if compute_observer is not None:
-            cpu.add_observer(compute_observer)
         if tel is not None and tel.enabled:
             world.add_mpi_observer(tel.tracer.on_mpi)
             cpu.add_observer(tel.tracer.on_compute)
@@ -592,14 +583,6 @@ def _completed_units(
     while done < n_units and all(b in common for b in unit_bands(done)):
         done += 1
     return done
-
-
-def _fanout_task_observer(first: _t.Callable, second: _t.Callable) -> _t.Callable:
-    def observer(rank: int, record: object) -> None:
-        first(rank, record)
-        second(rank, record)
-
-    return observer
 
 
 def _record_run_summary(

@@ -18,6 +18,7 @@ import typing as _t
 
 from repro.experiments.common import ExperimentReport, paper_config, sweep_summaries
 from repro.machine.knl import KnlParameters
+from repro.perf.popmodel import ideal_network
 from repro.sweep import SweepTask
 
 __all__ = ["run_ablation_whatif"]
@@ -38,9 +39,7 @@ def _machine_variant(name: str, base: KnlParameters) -> KnlParameters:
     if name == "measured":
         return base
     if name == "ideal_network":
-        return dataclasses.replace(
-            base, net_latency=0.0, net_injection_bw=1e18, net_capacity=1e18
-        )
+        return ideal_network(base)
     if name == "infinite_bandwidth":
         return dataclasses.replace(base, mem_bandwidth=1e18, mem_bw_rampup_max=None)
     if name == "no_jitter":

@@ -7,7 +7,7 @@ Public surface:
   × AoS/SoA × complex64/complex128, QE sign/scaling conventions).
 * :func:`~repro.fft.backends.registry.get_backend` /
   ``available_backends`` / ``backend_info`` — discovery (numpy default,
-  scipy/pyFFTW auto-detected, native mixed-radix).
+  scipy auto-detected, native mixed-radix).
 * :class:`~repro.fft.backends.engine.KernelEngine` — the per-run facade
   the executors call, with plan caching; every call runs single-threaded.
 

@@ -171,7 +171,7 @@ def deliver(res: np.ndarray, out: np.ndarray | None, dtype: np.dtype) -> np.ndar
 
 
 class FftBackend(abc.ABC):
-    """One kernel provider (numpy pocketfft, scipy, pyFFTW, native, ...)."""
+    """One kernel provider (numpy pocketfft, scipy, native, ...)."""
 
     #: Registry name (also the ``RunConfig.fft_backend`` value selecting it).
     name: str = "?"

@@ -31,10 +31,9 @@ def _registry() -> dict[str, FftBackend]:
     if _REGISTRY is None:
         from repro.fft.backends.native import NativeBackend
         from repro.fft.backends.numpy_backend import NumpyBackend
-        from repro.fft.backends.pyfftw_backend import PyfftwBackend
         from repro.fft.backends.scipy_backend import ScipyBackend
 
-        backends = [NumpyBackend(), ScipyBackend(), PyfftwBackend(), NativeBackend()]
+        backends = [NumpyBackend(), ScipyBackend(), NativeBackend()]
         _REGISTRY = {b.name: b for b in backends}
     return _REGISTRY
 

@@ -5,20 +5,24 @@ the run (Extrae), inspect timelines and histograms (Paraver), and condense
 everything into the multiplicative POP efficiency model (Tables I/II).
 This package reproduces that workflow against the simulator:
 
-* :mod:`~repro.perf.tracer` — :class:`Tracer` collects compute-phase, MPI
-  and task records through the driver's observer hooks; ``trace_run`` is
-  the one-call "run with tracing" entry point;
-* :mod:`~repro.perf.popmodel` — the efficiency/scalability factor
-  decomposition: parallel efficiency = load balance x communication
-  efficiency; communication efficiency = serialization x transfer (transfer
-  measured by an *ideal-network replay*, trivially exact in a simulator);
-  computation scalability = IPC x instruction scalability; global = PE x CS;
+* :mod:`~repro.perf.tracer` — ``trace_run``, the one-call "run with
+  tracing" entry point: a telemetry-enabled run whose session trace holds
+  every compute-phase, MPI and task record;
+* :mod:`~repro.perf.popmodel` — the factor columns of Tables I/II: the POP
+  efficiency factors of :func:`repro.analysis.pop.pop_factors` (transfer
+  measured by a replay on ``ideal_network``, trivially exact in a
+  simulator) plus the scalability rows: computation scalability =
+  IPC x instruction scalability; global = PE x CS;
 * :mod:`~repro.perf.timeline` — Fig. 3/7 artifacts: per-stream phase
   timelines, MPI call maps, communicator structure, IPC histograms;
 * :mod:`~repro.perf.paraver` — a Paraver-like trace format (.prv state /
   event / communication records with .pcf/.row sidecars) writer and parser;
 * :mod:`~repro.perf.report` — ASCII rendering of the factor tables and
-  series the experiments print.
+  series the experiments print;
+* :mod:`~repro.perf.whatif` — Dimemas-style replays on altered machines.
+
+Comparing two runs (``perf diff``, ``perf check``, ``compare``) is the
+regression triage of :mod:`repro.analysis.triage`.
 """
 
 from repro.perf.tracer import Trace, Tracer, trace_run
@@ -40,13 +44,6 @@ from repro.perf.timeline import (
 from repro.perf.paraver import read_prv, write_prv
 from repro.perf.report import format_factor_table, format_series
 from repro.perf.whatif import runtime_attribution, whatif_sweep
-from repro.perf.compare import (
-    compare_runs,
-    diff_manifests,
-    format_manifest_diff,
-    format_run_comparison,
-    manifest_regressions,
-)
 
 __all__ = [
     "Trace",
@@ -69,9 +66,4 @@ __all__ = [
     "format_series",
     "whatif_sweep",
     "runtime_attribution",
-    "compare_runs",
-    "format_run_comparison",
-    "diff_manifests",
-    "format_manifest_diff",
-    "manifest_regressions",
 ]

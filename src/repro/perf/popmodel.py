@@ -15,6 +15,10 @@ is decomposed multiplicatively:
   **instruction scalability**.
 * **Global efficiency** = parallel efficiency x computation scalability.
 
+The efficiency factors come from :func:`repro.analysis.pop.pop_factors`,
+the arithmetic the per-phase analysis shares; this module adds the
+scalability rows, which need a base run.
+
 A *stream* is what the analysis treats as a process: an MPI rank in the
 original version, an (MPI rank, thread) pair in the task versions — exactly
 how the paper's Tables I/II compare "1-16 ranks with 8 FFT task groups /
@@ -25,8 +29,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.config import RunConfig
-from repro.core.driver import RunResult, run_fft_phase
+from repro.analysis.pop import pop_factors
+from repro.core.driver import RunResult
 from repro.machine.knl import KnlParameters
 
 __all__ = [
@@ -145,13 +149,20 @@ class FactorSet:
 
 
 def ideal_network(knl: KnlParameters | None = None) -> KnlParameters:
-    """The what-if machine: same node, instantaneous MPI transport."""
+    """The what-if machine: same nodes, instantaneous MPI transport.
+
+    Both the on-node network and the inter-node fabric lose their latency
+    and bandwidth limits, so a multi-node replay is as ideal as a
+    single-node one.
+    """
     base = knl or KnlParameters()
     return dataclasses.replace(
         base,
         net_latency=0.0,
         net_injection_bw=1e18,
         net_capacity=1e18,
+        fabric_latency=0.0,
+        fabric_injection_bw=1e18,
     )
 
 
@@ -168,9 +179,8 @@ def factors_from_run(
         The measured run.
     ideal_time:
         Runtime of the same configuration on the ideal network; without it
-        the sync/transfer split is not identified (both reported as the
-        square root of communication efficiency would be arbitrary — they
-        are set to ``nan``-free neutral 1.0 and the caller should know).
+        the sync/transfer split is not identified (transfer is reported as
+        1.0 and synchronization carries the communication efficiency).
     base:
         Aggregates of the smallest run; defaults to this run itself (i.e.
         the base column, scalability = 1).
@@ -191,24 +201,13 @@ def factors_from_aggregates(
     :func:`factors_from_run`; the float operation order is identical, so the
     two paths produce bit-equal columns.
     """
-    runtime = agg.runtime
-    per_stream = agg.per_stream_compute
-    if not per_stream or runtime <= 0.0:
-        raise ValueError("run has no computation to analyse")
-
-    max_compute = max(per_stream)
-    avg_compute = sum(per_stream) / len(per_stream)
-
-    load_balance = avg_compute / max_compute if max_compute > 0 else 1.0
-    comm_eff = max_compute / runtime
-    parallel_eff = load_balance * comm_eff
-
-    if ideal_time is not None and ideal_time > 0:
-        transfer_eff = min(ideal_time / runtime, 1.0)
-        sync_eff = min(max_compute / ideal_time, 1.0)
-    else:
-        transfer_eff = 1.0
-        sync_eff = comm_eff
+    (
+        load_balance,
+        comm_eff,
+        sync_eff,
+        transfer_eff,
+        parallel_eff,
+    ) = pop_factors(agg.per_stream_compute, agg.runtime, ideal_time)
 
     if base is None:
         base = agg.base_metrics()
@@ -229,14 +228,3 @@ def factors_from_aggregates(
         instruction_scalability=instr_scal,
         global_efficiency=parallel_eff * comp_scal,
     )
-
-
-def measure_factors(
-    config: RunConfig,
-    base: BaseMetrics | None = None,
-    knl: KnlParameters | None = None,
-) -> tuple[RunResult, FactorSet]:
-    """Run a configuration twice (real + ideal network) and decompose it."""
-    result = run_fft_phase(config, knl=knl)
-    ideal = run_fft_phase(config, knl=ideal_network(knl))
-    return result, factors_from_run(result, ideal_time=ideal.phase_time, base=base)

@@ -1,17 +1,16 @@
 """The trace monitor (Extrae analogue).
 
-A :class:`Tracer` plugs into the driver's three observer hooks and collects
-every compute-phase record, MPI record and task record of a run into a
-:class:`Trace` — the raw material for the POP model, the timeline views and
-the Paraver export.  Unlike real instrumentation it is exact and overhead
-free (the paper quotes 0.6-2.2 % monitor overhead; a simulator pays none).
+:func:`trace_run` runs a configuration with an enabled telemetry session,
+whose :class:`Tracer` collects every compute-phase record, MPI record and
+task record into a :class:`Trace` — the raw material for the POP model, the
+timeline views and the Paraver export.  Unlike real instrumentation it is
+exact and overhead free (the paper quotes 0.6-2.2 % monitor overhead; a
+simulator pays none).
 
-The record classes themselves live in :mod:`repro.telemetry.trace` (shared
-with the unified telemetry layer); this module re-exports them and keeps the
-one-call :func:`trace_run` entry point.  Tracing is opt-in: a plain
-``run_fft_phase`` attaches no observers and records nothing — use
-``trace_run``, ``RunConfig(telemetry=True)`` or an explicit telemetry
-session to observe a run.
+The record classes themselves live in :mod:`repro.telemetry.trace`; this
+module re-exports them.  Tracing is opt-in: a plain ``run_fft_phase``
+records nothing — use ``trace_run``, ``RunConfig(telemetry=True)`` or an
+explicit telemetry session to observe a run.
 """
 
 from __future__ import annotations
@@ -20,27 +19,19 @@ import typing as _t
 
 from repro.core.config import RunConfig
 from repro.core.driver import RunResult, run_fft_phase
+from repro.telemetry import Telemetry
 from repro.telemetry.trace import Trace, Tracer
 
 __all__ = ["Trace", "Tracer", "trace_run"]
 
 
 def trace_run(config: RunConfig, **run_kwargs: _t.Any) -> tuple[RunResult, Trace]:
-    """Run a configuration with tracing attached; returns (result, trace).
+    """Run a configuration in an enabled telemetry session; returns
+    (result, the session's trace).
 
-    When the run is telemetry-enabled (``config.telemetry`` or a
-    ``telemetry=`` keyword), the driver's own tracer already collects the
-    records and this returns its trace; otherwise a standalone
-    :class:`Tracer` is attached through the observer hooks.
+    A ``telemetry=`` keyword supplies the (enabled) session to record into;
+    otherwise a fresh one is used.
     """
-    tracer = Tracer()
-    result = run_fft_phase(
-        config,
-        mpi_observer=tracer.on_mpi,
-        compute_observer=tracer.on_compute,
-        task_observer=tracer.on_task,
-        **run_kwargs,
-    )
-    if result.telemetry is not None and result.telemetry.enabled:
-        return result, result.telemetry.trace
-    return result, tracer.trace
+    run_kwargs.setdefault("telemetry", Telemetry(enabled=True))
+    result = run_fft_phase(config, **run_kwargs)
+    return result, result.telemetry.trace

@@ -21,6 +21,7 @@ import typing as _t
 from repro.core.config import RunConfig
 from repro.core.driver import run_fft_phase
 from repro.machine.knl import KnlParameters
+from repro.perf.popmodel import ideal_network
 
 __all__ = ["whatif_sweep", "runtime_attribution", "SWEEPABLE_PARAMETERS"]
 
@@ -65,7 +66,7 @@ def runtime_attribution(
     """Decompose the phase runtime by lifting one bottleneck at a time.
 
     Returns a mapping with the measured runtime and the runtime under each
-    single what-if: ``ideal_network`` (zero latency, infinite transport),
+    single what-if: ``ideal_network`` (:func:`~repro.perf.popmodel.ideal_network`),
     ``infinite_bandwidth`` (no memory contention; hyper-thread sharing and
     nominal IPCs remain), and ``no_jitter``.  The relative gaps are the
     shares of runtime each mechanism is responsible for.
@@ -73,9 +74,6 @@ def runtime_attribution(
     base = knl or KnlParameters()
     measured = run_fft_phase(config, knl=base).phase_time
 
-    ideal_net = dataclasses.replace(
-        base, net_latency=0.0, net_injection_bw=1e18, net_capacity=1e18
-    )
     no_contention = dataclasses.replace(
         base, mem_bandwidth=1e18, mem_bw_rampup_max=None
     )
@@ -83,7 +81,7 @@ def runtime_attribution(
 
     return {
         "measured": measured,
-        "ideal_network": run_fft_phase(config, knl=ideal_net).phase_time,
+        "ideal_network": run_fft_phase(config, knl=ideal_network(base)).phase_time,
         "infinite_bandwidth": run_fft_phase(config, knl=no_contention).phase_time,
         "no_jitter": run_fft_phase(config, knl=no_jitter).phase_time,
     }

@@ -43,6 +43,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.grid import GridSpec
 
 __all__ = [
+    "ideal_replay",
     "SweepTask",
     "PointRecord",
     "SweepResult",
@@ -80,20 +81,15 @@ def reduce_summary(
     ``wall_time_s`` stays unset and ``created`` is pinned, exactly like the
     CLI's ``--stable-manifest`` — two executions of the same seeded point
     produce byte-identical summaries regardless of host or worker count.
+    With an ideal-network replay the manifest's ``analysis.pop`` splits
+    serialization from transfer by the replay.
     """
-    from repro.perf.popmodel import factors_from_run
     from repro.telemetry.manifest import build_manifest
 
-    factors = None
-    ideal_time = None
-    if ideal is not None:
-        ideal_time = ideal.phase_time
-        factors = factors_from_run(result, ideal_time=ideal_time)
     return build_manifest(
         result,
         wall_time_s=None,
-        factors=factors,
-        ideal_time_s=ideal_time,
+        ideal_time_s=ideal.phase_time if ideal is not None else None,
         created="(stable)",
     )
 
@@ -221,6 +217,22 @@ def digest_summary(summary: dict) -> str:
 # -- execution -----------------------------------------------------------------
 
 
+def ideal_replay(config: RunConfig, knl: KnlParameters | None = None) -> RunResult:
+    """Run ``config`` again on the ideal network (the POP transfer replay).
+
+    The replay records no telemetry and drops the per-link fabric cap,
+    which an ideal network does not have.  It calls this module's
+    ``run_fft_phase`` reference, the one every sweep point runs through, so
+    a point's measured run and its replay share one entry point.
+    """
+    from repro.perf.popmodel import ideal_network
+
+    return run_fft_phase(
+        dataclasses.replace(config, telemetry=False, link_capacity=None),
+        knl=ideal_network(knl),
+    )
+
+
 def _execute_task(task: SweepTask) -> dict:
     """Worker body: simulate one point and reduce it to a record dict.
 
@@ -237,14 +249,7 @@ def _execute_task(task: SweepTask) -> dict:
         result = run_fft_phase(task.config, knl=task.knl)
     ideal = None
     if task.ideal_replay:
-        from repro.perf.popmodel import ideal_network
-
-        ideal_config = (
-            dataclasses.replace(task.config, telemetry=False)
-            if task.config.telemetry
-            else task.config
-        )
-        ideal = run_fft_phase(ideal_config, knl=ideal_network(task.knl))
+        ideal = ideal_replay(task.config, task.knl)
     summary = _jsonify(reducer(task, result, ideal, trace))
     return {
         "key": task.key,

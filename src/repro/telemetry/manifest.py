@@ -15,7 +15,9 @@ compares against.  It captures:
   updates, skipped timer re-arms, allocation-cache hits/misses) under
   ``engine.cpu`` / ``engine.network`` — the observability hooks of the
   virtual-time contention engine,
-* the POP efficiency factors when the caller ran the ideal-network replay,
+* the derived analytics under ``analysis`` (POP factors, critical path,
+  task graph) for telemetry-enabled runs and for runs given an
+  ideal-network replay time, which fixes the serialization/transfer split,
 * the fault-injection report (scenario, injected/recovered counts, per-
   attempt outcomes) when the run carried a fault scenario,
 * the data-plane record (decomposition, kernel backend, kernel calls and
@@ -38,7 +40,6 @@ from repro.telemetry.layers import comm_layer
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.driver import RunResult
-    from repro.perf.popmodel import FactorSet
 
 __all__ = [
     "MANIFEST_KIND",
@@ -100,11 +101,14 @@ def _mpi_aggregates(result: "RunResult") -> dict:
 def build_manifest(
     result: "RunResult",
     wall_time_s: float | None = None,
-    factors: "FactorSet | None" = None,
     ideal_time_s: float | None = None,
     created: str | None = None,
 ) -> dict:
-    """Assemble the manifest dict for one completed run."""
+    """Assemble the manifest dict for one completed run.
+
+    ``ideal_time_s`` is the runtime of the ideal-network replay; with it the
+    ``analysis`` section splits serialization from transfer by the replay.
+    """
     config = dataclasses.asdict(result.config)
     config["label"] = result.config.label()
     config["n_mpi_ranks"] = result.config.n_mpi_ranks
@@ -136,11 +140,6 @@ def build_manifest(
             result.telemetry.metrics.snapshot() if result.telemetry is not None else {}
         ),
     }
-    if factors is not None:
-        manifest["pop"] = {
-            label: value for label, value in _factor_items(factors)
-        }
-        manifest["pop"]["ideal_time_s"] = ideal_time_s
     if result.fault_report is not None:
         manifest["fault_report"] = result.fault_report
         manifest["timing"]["n_attempts"] = result.n_attempts
@@ -152,37 +151,14 @@ def build_manifest(
         manifest["internode"] = internode()
     if result.tuning is not None:
         manifest["tuning"] = result.tuning
-    analysis = _run_analysis(result, ideal_time_s)
-    if analysis is not None:
-        manifest["analysis"] = analysis
-    return manifest
-
-
-def _run_analysis(result: "RunResult", ideal_time_s: float | None) -> dict | None:
-    """The ``analysis`` section: the session's stashed analytics, or a fresh
-    computation for telemetry-enabled runs that bypassed the driver summary.
-
-    Import is deferred — the analysis package consumes telemetry, not the
-    other way round, and the manifest module must stay importable first.
-    """
     tel = result.telemetry
-    if tel is None or not tel.enabled:
-        return None
-    from repro import analysis as _analysis
+    if (tel is not None and tel.enabled) or ideal_time_s is not None:
+        # Deferred import: the analysis package consumes telemetry, not the
+        # other way round, and this module must stay importable first.
+        from repro.analysis import analyze_run
 
-    stashed = getattr(tel, "analysis", None)
-    if stashed is None:
-        stashed = _analysis.analyze_session(
-            tel, result.phase_time, counters=result.cpu.counters,
-            ideal_time_s=ideal_time_s,
-        )
-    return stashed.to_dict()
-
-
-def _factor_items(factors: "FactorSet") -> list[tuple[str, float]]:
-    return [
-        (f.name, getattr(factors, f.name)) for f in dataclasses.fields(factors)
-    ]
+        manifest["analysis"] = analyze_run(result, ideal_time_s).to_dict()
+    return manifest
 
 
 def write_manifest(path: str | pathlib.Path, manifest: dict) -> pathlib.Path:
@@ -229,7 +205,6 @@ _RULES: list[tuple[str, tuple[type, ...], bool]] = [
     ("engine.network", (dict,), False),
     ("average_ipc", (int, float), True),
     ("metrics", (dict,), True),
-    ("pop", (dict,), False),
     ("fault_report", (dict,), False),
     ("fault_report.scenario", (dict,), False),
     ("failed", (bool,), False),

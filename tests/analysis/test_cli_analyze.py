@@ -152,8 +152,8 @@ class TestPerfTriageTail:
     def test_diff_prints_triage_verdict(self, run_manifest, slow_manifest, capsys):
         assert main(["perf", "diff", str(run_manifest), str(slow_manifest)]) == 0
         out = capsys.readouterr().out
-        assert "triage: REGRESSION" in out
-        assert "dominant mover" in out
+        assert "verdict: REGRESSION" in out
+        assert "dominant phase:  fft_xy" in out
 
     def test_check_writes_triage_json(self, run_manifest, slow_manifest,
                                       tmp_path, capsys):

@@ -2,14 +2,18 @@
 
 import pytest
 
+from repro.analysis import analyze_run
 from repro.analysis.pop import (
     PopDecomposition,
     StreamTimeline,
     decompose,
     timelines_from_trace,
 )
+from repro.core import RunConfig, run_fft_phase
 from repro.machine.cpu import ComputeRecord
 from repro.mpisim.world import MpiRecord
+from repro.perf.popmodel import RunAggregates, factors_from_aggregates
+from repro.sweep.engine import ideal_replay
 from repro.telemetry.trace import Trace
 
 
@@ -122,3 +126,30 @@ class TestTimelinesFromTrace:
         assert tl.mpi_sync_by_layer == {"pack": 0.25}
         assert tl.mpi_transfer_by_layer == {"pack": 0.75}
         assert tl.compute_time == pytest.approx(3.0)
+
+
+class TestRunLevelAgreement:
+    """The per-phase analysis and the Table I/II columns share one
+    arithmetic: on real runs with a replay they report equal factors."""
+
+    @pytest.mark.parametrize("version", ["original", "ompss_perfft"])
+    def test_analysis_equals_table_column(self, version):
+        cfg = RunConfig(
+            ecutwfc=12.0, alat=5.0, nbnd=16, ranks=2, taskgroups=8,
+            version=version, telemetry=True,
+        )
+        result = run_fft_phase(cfg)
+        ideal = ideal_replay(cfg).phase_time
+        pop = analyze_run(result, ideal).pop
+        agg = RunAggregates.from_run(result)
+        column = factors_from_aggregates(agg, ideal)
+        assert pop.split_source == "replay"
+        assert pop.load_balance == column.load_balance
+        assert pop.communication_efficiency == column.communication_efficiency
+        assert pop.serialization_efficiency == column.synchronization_efficiency
+        assert pop.transfer_efficiency == column.transfer_efficiency
+        assert pop.parallel_efficiency == column.parallel_efficiency
+        # Per-phase compute aggregates to the streams' compute.
+        assert sum(p.time_total_s for p in pop.phases) == pytest.approx(
+            sum(agg.per_stream_compute), rel=1e-12
+        )

@@ -1,8 +1,11 @@
-"""Regression triage on synthetic manifest pairs with planted blame."""
+"""Regression triage: synthetic manifest pairs with planted blame, and the
+manifest diff on two real runs (``original`` vs ``ompss_perfft``)."""
 
 import pytest
 
-from repro.analysis.triage import triage_pair
+from repro.analysis.triage import diff_manifests, triage_pair
+from repro.core import RunConfig, run_fft_phase
+from repro.telemetry.manifest import build_manifest
 
 
 def manifest(label="cfg", phase_time=1.0, phases=None, mpi=None,
@@ -99,14 +102,6 @@ class TestTriagePair:
         # a counter explains but never outranks the moved phase
         assert report.dominant.kind == "phase"
 
-    def test_legacy_pop_section_fallback(self):
-        a = manifest()
-        a["pop"] = dict(BASE_POP)
-        b = manifest(phase_time=1.3)
-        b["pop"] = dict(BASE_POP, transfer_efficiency=0.5)
-        report = triage_pair(a, b)
-        assert report.dominant_factor == "transfer_efficiency"
-
     def test_to_dict_roundtrips_infinities(self):
         a = manifest(phases={"new_phase": {"time_s": 0.0, "ipc": 0.0}})
         b = manifest(phase_time=1.2,
@@ -116,3 +111,62 @@ class TestTriagePair:
         assert finding["relative"] is None  # inf serialized as null
         assert doc["verdict"] == "regression"
         assert doc["dominant_phase"] == "new_phase"
+
+
+@pytest.fixture(scope="module")
+def real():
+    """Telemetry manifests of the small 2x2 original and per-FFT runs."""
+    return {
+        version: build_manifest(
+            run_fft_phase(
+                RunConfig(
+                    ecutwfc=12.0, alat=5.0, nbnd=8, ranks=2, taskgroups=2,
+                    version=version, telemetry=True,
+                )
+            )
+        )
+        for version in ("original", "ompss_perfft")
+    }
+
+
+class TestRealManifests:
+    def test_self_comparison_is_neutral(self, real):
+        a = real["original"]
+        diff = diff_manifests(a, a)
+        assert diff.runtime_relative == 0.0
+        assert all(p.relative == 0.0 for p in diff.phases)
+        report = triage_pair(a, a)
+        assert report.verdict == "neutral"
+        assert [f.kind for f in report.findings] == ["runtime"]
+
+    def test_phase_missing_from_b_is_minus_one(self, real):
+        diff = diff_manifests(real["original"], real["ompss_perfft"])
+        pack = next(p for p in diff.phases if p.name == "pack_sticks")
+        assert pack.time_a > 0 and pack.time_b == 0.0
+        assert pack.relative == -1.0
+        report = triage_pair(real["original"], real["ompss_perfft"])
+        (finding,) = [
+            f for f in report.findings
+            if f.kind == "phase" and f.subject == "pack_sticks"
+        ]
+        assert finding.relative == -1.0
+
+    def test_phase_new_in_b_is_inf_and_null_in_json(self, real):
+        diff = diff_manifests(real["ompss_perfft"], real["original"])
+        pack = next(p for p in diff.phases if p.name == "pack_sticks")
+        assert pack.relative == float("inf")
+        doc = triage_pair(real["ompss_perfft"], real["original"]).to_dict()
+        (finding,) = [
+            f for f in doc["findings"]
+            if f["kind"] == "phase" and f["subject"] == "pack_sticks"
+        ]
+        assert finding["relative"] is None
+
+    def test_mpi_time_is_split_per_layer(self, real):
+        diff = diff_manifests(real["original"], real["ompss_perfft"])
+        # The original has both MPI layers; the per-FFT version has no pack.
+        assert {"pack", "scatter"} <= set(diff.mpi_a)
+        assert "pack" not in diff.mpi_b
+        report = triage_pair(real["original"], real["ompss_perfft"])
+        layers = {f.subject for f in report.findings if f.kind == "mpi_layer"}
+        assert {"pack", "scatter"} <= layers

@@ -2,6 +2,8 @@
 dense reference — and all executors must agree bit-for-bit on the numerics.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,17 +105,13 @@ class TestRunResult:
         assert 0 < res.phase_time < 10.0
 
     def test_observers_wired(self):
-        mpi_calls, compute_recs, task_recs = [], [], []
+        # The telemetry session's tracer observes every MPI call, compute
+        # phase and task of the run.
         cfg = small_config(ranks=2, taskgroups=2, version="ompss_perfft")
-        run_fft_phase(
-            cfg,
-            mpi_observer=mpi_calls.append,
-            compute_observer=compute_recs.append,
-            task_observer=lambda rank, rec: task_recs.append((rank, rec)),
-        )
-        assert any(r.call in ("alltoall", "alltoallw") for r in mpi_calls)
-        assert any(r.phase == "fft_xy" for r in compute_recs)
-        assert len(task_recs) == cfg.n_complex_bands * cfg.n_mpi_ranks
+        trace = run_fft_phase(dataclasses.replace(cfg, telemetry=True)).telemetry.trace
+        assert any(r.call in ("alltoall", "alltoallw") for r in trace.mpi)
+        assert any(r.phase == "fft_xy" for r in trace.compute)
+        assert len(trace.tasks) == cfg.n_complex_bands * cfg.n_mpi_ranks
 
     def test_contexts_sorted_by_rank(self):
         res = run_fft_phase(small_config(ranks=2, taskgroups=2))

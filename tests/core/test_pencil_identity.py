@@ -48,10 +48,11 @@ class TestPencilMatchesSlab:
             version=version,
             data_mode=True,
             decomposition="pencil",
+            telemetry=True,
             **SMALL,
         )
-        calls = set()
-        res = run_fft_phase(cfg, mpi_observer=lambda rec: calls.add(rec.call))
+        res = run_fft_phase(cfg)
+        calls = {rec.call for rec in res.telemetry.trace.mpi}
         assert res.dataplane["decomposition"] == "pencil"
         # Every exchange moves its elements with one Alltoallw: no staged
         # pack/unpack copies around an Alltoall.

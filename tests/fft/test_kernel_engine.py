@@ -52,10 +52,15 @@ def test_manifest_config_records_the_knobs():
     assert manifest["dataplane"]["kernel_backend"] == "native"
 
 
-def test_meta_mode_never_builds_an_engine():
+def test_meta_mode_never_builds_an_engine(monkeypatch):
     # A meta-mode run executes no kernels, so even a config naming an
     # uninstalled optional backend simulates fine.
-    cfg = RunConfig(**SMALL, ranks=2, taskgroups=2, fft_backend="pyfftw")
+    from repro.fft.backends.scipy_backend import ScipyBackend
+
+    monkeypatch.setattr(
+        ScipyBackend, "availability", lambda self: (False, "uninstalled (test)")
+    )
+    cfg = RunConfig(**SMALL, ranks=2, taskgroups=2, fft_backend="scipy")
     result = run_fft_phase(cfg)
     assert result.phase_time > 0
     assert result.dataplane is None

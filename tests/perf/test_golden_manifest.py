@@ -6,7 +6,7 @@ seeded 8-rank x 8-taskgroup quick-workload run.  The test regenerates the
 manifest from scratch and compares it against the committed fixture with a
 float tolerance of 1e-9 — any drift in the simulator, the cost model, the
 executors or the manifest schema fails with the human-readable
-``perf diff`` report instead of a wall of JSON.
+``perf diff`` triage report instead of a wall of JSON.
 
 To regenerate after an *intentional* behaviour change::
 
@@ -22,8 +22,9 @@ import pathlib
 
 import pytest
 
+from repro.analysis.render import render_triage_text
+from repro.analysis.triage import triage_pair
 from repro.core import RunConfig, run_fft_phase
-from repro.perf import diff_manifests, format_manifest_diff
 from repro.telemetry.manifest import build_manifest
 
 FIXTURE = pathlib.Path(__file__).parent / "golden" / "run_8x8_quick.json"
@@ -105,7 +106,8 @@ class TestGoldenManifest:
         fresh = generate_manifest()
         mismatches = _leaf_mismatches(golden, fresh)
         if mismatches:
-            report = format_manifest_diff(diff_manifests(golden, fresh))
+            triage = triage_pair(golden, fresh)
+            report = render_triage_text(triage.to_dict(), top=len(triage.findings))
             shown = "\n".join(f"  {m}" for m in mismatches[:20])
             more = len(mismatches) - 20
             if more > 0:

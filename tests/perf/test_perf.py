@@ -110,6 +110,26 @@ class TestPopModel:
         ideal = run_fft_phase(res.config, knl=ideal_network())
         assert ideal.phase_time < res.phase_time
 
+    def test_ideal_replay_lifts_the_fabric_too(self):
+        # The 2-node reference: zeroing only the on-node network leaves the
+        # inter-node fabric in the replay and overstates transfer
+        # efficiency (~93%); the ideal network lifts both (~79%).
+        import dataclasses
+
+        from repro.sweep.engine import ideal_replay
+
+        cfg = RunConfig(ecutwfc=12.0, alat=5.0, nbnd=8, ranks=4, taskgroups=2, n_nodes=2)
+        res = run_fft_phase(cfg)
+        replay = ideal_replay(cfg)
+        on_node_only = dataclasses.replace(
+            ideal_network(), fabric_latency=knl_parameters().fabric_latency,
+            fabric_injection_bw=knl_parameters().fabric_injection_bw,
+        )
+        fabric_kept = run_fft_phase(cfg, knl=on_node_only)
+        assert replay.phase_time <= fabric_kept.phase_time
+        fs = factors_from_run(res, ideal_time=replay.phase_time)
+        assert fs.transfer_efficiency < 0.85
+
     def test_scalability_drops_with_more_streams(self):
         # Per-message MPI-stack instructions off: on the toy workload they
         # would dominate the instruction balance this test checks.

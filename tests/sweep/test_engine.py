@@ -193,8 +193,10 @@ class TestReducersAndErrors:
         task = SweepTask(key="ranks=2", config=config, ideal_replay=True)
         result = run_sweep([task])
         summary = result.records[0].summary
-        assert "pop" in summary
-        assert summary["pop"]["ideal_time_s"] > 0
+        assert "pop" not in summary
+        pop = summary["analysis"]["pop"]
+        assert pop["split_source"] == "replay"
+        assert pop["ideal_runtime_s"] > 0
 
 
 class TestSweepResult:

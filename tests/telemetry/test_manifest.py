@@ -74,7 +74,10 @@ class TestBuildManifest:
         assert manifest["average_ipc"] == pytest.approx(result.average_ipc)
 
     def test_no_pop_without_factors(self, manifest):
+        # The factors live in analysis.pop only; without a replay time the
+        # serialization/transfer split is the trace-side estimate.
         assert "pop" not in manifest
+        assert manifest["analysis"]["pop"]["split_source"] == "estimate"
 
     def test_json_serialisable(self, manifest):
         json.dumps(manifest)

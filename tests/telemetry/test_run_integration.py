@@ -3,25 +3,21 @@
 Runs exec_original and exec_perfft (quick workload) with telemetry on and
 checks the whole chain: span hierarchy, metrics consistency, Chrome-trace
 structure (per-hw-thread tracks, MPI flow events), manifests whose POP
-factors match ``factors_from_run``, and the ``perf diff`` / ``perf check``
+factors equal ``factors_from_run``, and the ``perf diff`` / ``perf check``
 behaviour on those manifests — the paper's runtime and main-phase-IPC
-deltas must show up in the diff.
+deltas must show up in the triage.
 """
 
 import copy
-import dataclasses
 import json
 
 import pytest
 
+from repro.analysis.render import render_triage_text
+from repro.analysis.triage import diff_manifests, manifest_regressions, triage_pair
 from repro.core import RunConfig, run_fft_phase
-from repro.perf import (
-    diff_manifests,
-    factors_from_run,
-    format_manifest_diff,
-    ideal_network,
-    manifest_regressions,
-)
+from repro.perf import factors_from_run
+from repro.sweep.engine import ideal_replay
 from repro.telemetry.chrometrace import chrome_trace_events
 from repro.telemetry.manifest import build_manifest, validate_manifest
 
@@ -31,14 +27,11 @@ QUICK = dict(ecutwfc=30.0, alat=10.0, nbnd=32)
 def _run(version):
     config = RunConfig(ranks=8, taskgroups=8, version=version, telemetry=True, **QUICK)
     result = run_fft_phase(config)
-    ideal = run_fft_phase(
-        dataclasses.replace(config, telemetry=False), knl=ideal_network()
-    )
+    ideal = ideal_replay(config)
     factors = factors_from_run(result, ideal_time=ideal.phase_time)
     manifest = build_manifest(
         result,
         wall_time_s=1.0,
-        factors=factors,
         ideal_time_s=ideal.phase_time,
         created="2026-01-01T00:00:00",
     )
@@ -141,12 +134,14 @@ class TestManifestAcceptance:
 
     def test_pop_factors_match_factors_from_run(self, original, perfft):
         for _result, factors, manifest in (original, perfft):
-            pop = manifest["pop"]
-            for field in dataclasses.fields(factors):
-                assert pop[field.name] == pytest.approx(
-                    getattr(factors, field.name)
-                ), field.name
-            assert pop["ideal_time_s"] is not None
+            assert "pop" not in manifest
+            pop = manifest["analysis"]["pop"]
+            assert pop["split_source"] == "replay"
+            assert pop["load_balance"] == factors.load_balance
+            assert pop["communication_efficiency"] == factors.communication_efficiency
+            assert pop["serialization_efficiency"] == factors.synchronization_efficiency
+            assert pop["transfer_efficiency"] == factors.transfer_efficiency
+            assert pop["parallel_efficiency"] == factors.parallel_efficiency
 
     def test_main_phase_ipc_recorded(self, original, perfft):
         for _result, _factors, manifest in (original, perfft):
@@ -167,9 +162,11 @@ class TestDiffAcceptance:
         )
 
     def test_format_manifest_diff_reports_the_delta(self, original, perfft):
+        # The manifest diff is rendered by the triage renderer.
         _res_a, _f_a, manifest_a = original
         _res_b, _f_b, manifest_b = perfft
-        text = format_manifest_diff(diff_manifests(manifest_a, manifest_b))
+        report = triage_pair(manifest_a, manifest_b)
+        text = render_triage_text(report.to_dict(), top=len(report.findings))
         assert manifest_a["config"]["label"] in text
         assert manifest_b["config"]["label"] in text
         assert "fft_xy" in text

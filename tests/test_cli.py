@@ -71,11 +71,29 @@ class TestCliTelemetry:
         assert {"M", "X"} <= {e["ph"] for e in doc["traceEvents"]}
 
     def test_run_pop_adds_factors(self, tmp_path):
+        from repro.cli import QUICK_WORKLOAD
+        from repro.core import RunConfig, run_fft_phase
+        from repro.perf import factors_from_run
+        from repro.sweep.engine import ideal_replay
+
         manifest = tmp_path / "run.json"
-        assert main(self.RUN + ["--manifest", str(manifest), "--pop"]) == 0
+        argv = ["run", "--ranks", "4", "--taskgroups", "4", "--quick"]
+        assert main(argv + ["--manifest", str(manifest), "--pop"]) == 0
         doc = json.loads(manifest.read_text())
-        assert "pop" in doc
-        assert 0 < doc["pop"]["parallel_efficiency"] <= 1.001
+        assert "pop" not in doc
+        pop = doc["analysis"]["pop"]
+        assert pop["split_source"] == "replay"
+        # The manifest's factors are the Table I/II arithmetic on the same
+        # run and replay.
+        config = RunConfig(ranks=4, taskgroups=4, **QUICK_WORKLOAD)
+        ideal_time = ideal_replay(config).phase_time
+        assert pop["ideal_runtime_s"] == ideal_time
+        factors = factors_from_run(run_fft_phase(config), ideal_time=ideal_time)
+        assert pop["load_balance"] == factors.load_balance
+        assert pop["communication_efficiency"] == factors.communication_efficiency
+        assert pop["serialization_efficiency"] == factors.synchronization_efficiency
+        assert pop["transfer_efficiency"] == factors.transfer_efficiency
+        assert pop["parallel_efficiency"] == factors.parallel_efficiency
 
     def test_perf_validate_and_diff_and_check(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -104,6 +122,17 @@ class TestCliTelemetry:
         capsys.readouterr()
         assert main(["perf", "check", "--baseline", str(a), str(slow)]) == 1
         assert "REGRESSION" in capsys.readouterr().err
+
+    def test_compare_prints_the_triage(self, capsys):
+        argv = ["compare", "original", "ompss_perfft", "--ranks", "2",
+                "--taskgroups", "2", "--quick"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "A: 2x2 original" in out and "B: 2x2 ompss_perfft" in out
+        assert "verdict: " in out
+        # The per-FFT version drops the pack layer: both the phase and the
+        # MPI layer show up as findings.
+        assert "pack_sticks" in out and "MPI pack time" in out
 
     def test_perf_validate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
